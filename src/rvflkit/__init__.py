@@ -4,8 +4,7 @@ from .data import Dataset, FoldAssignment, NormalizationParams, apply_normalizat
     fit_normalization, load_csv, one_hot, stratified_k_fold
 from .evaluate import BenchmarkTable, CVResult, GridSearchResult, GridSpec, accuracy, \
     average_ranks, cross_validate, grid_search
-from .kernel import ClassGeometry, KernelParams, build_class_geometry, feature_space_distance, \
-    kernel_matrix, rbf_kernel
+from .kernel import ClassGeometry, KernelParams, build_class_geometry, kernel_matrix
 from .model import ModelConfig, RandomLayer, TrainedModel, load_model, predict, save_model, train
 from .solver import solve_auto, solve_dual, solve_primal
 from .stats import FriedmanResult, WilcoxonResult, friedman, nemenyi_cd, nemenyi_table, \

@@ -41,7 +41,7 @@ def _load_overlay(path):
     with open(path) as fh:
         overlay = json.load(fh)
     if not isinstance(overlay, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
+        raise DataError(f"{path} must hold a JSON object")
     return overlay
 
 
@@ -88,6 +88,8 @@ def _load_dataset(args, overlay=None):
 def _read_table(path) -> BenchmarkTable:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise DataError(f"{path} is empty; expected a header row of model names")
     header, body = rows[0], rows[1:]
     body = [r for r in body if r[0] not in ("Average Accuracy", "Average Rank")]
     acc = np.array([[float(x) for x in r[1:]] for r in body])
@@ -97,6 +99,8 @@ def _read_table(path) -> BenchmarkTable:
 def _read_ranks(path):
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
+    if len(rows) < 2:
+        raise DataError(f"{path} must hold a header row of model names and a row of ranks")
     return rows[0], np.array([float(x) for x in rows[1]])
 
 
@@ -210,8 +214,12 @@ def cmd_grid(args):
 
 
 def cmd_bench(args):
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    manifest = _load_overlay(args.manifest)
+    entries = manifest.get("datasets")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and "path" in e
+                                                for e in entries):
+        raise DataError(f"manifest {args.manifest} needs a \"datasets\" list of objects "
+                        "that each give a \"path\"")
     models = args.models.split(",") if args.models else manifest.get(
         "models", ["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
     grid_overlay = manifest.get("grid", {})
@@ -222,7 +230,7 @@ def cmd_bench(args):
     grid = GridSpec(**grid_kwargs)
 
     dataset_names, rows = [], []
-    for entry in manifest["datasets"]:
+    for entry in entries:
         ds = load_csv(entry["path"], has_header=entry.get("has_header", False),
                       label_column=entry.get("label_column", "last"),
                       name=entry.get("name"))
@@ -286,8 +294,14 @@ def cmd_stats_nemenyi(args):
         q_alpha = Q_ALPHA_05[p]
     cd = nemenyi_cd(q_alpha, p, n_datasets)
     ref = args.reference
-    ref_idx = names.index(ref) if ref in names else int(np.argmin(ranks)) if ref is None \
-        else int(ref)
+    if ref is None:
+        ref_idx = int(np.argmin(ranks))
+    elif ref in names:
+        ref_idx = names.index(ref)
+    elif ref.isdigit() and int(ref) < p:
+        ref_idx = int(ref)
+    else:
+        raise UsageError(f"unknown reference {ref!r}; give a model name or an index below {p}")
     flags = nemenyi_table(ranks, ref_idx, cd)
     payload = {"critical_difference": round(cd, 4), "q_alpha": q_alpha,
                "reference": names[ref_idx]}

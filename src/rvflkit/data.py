@@ -59,12 +59,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
-        """Row subset keeping the full class-name map."""
-        idx = np.asarray(indices)
-        return Dataset(self.features[idx], self.labels[idx], self.class_names,
-                       name or self.name)
-
 
 @dataclass(frozen=True)
 class NormalizationParams:

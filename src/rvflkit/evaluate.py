@@ -1,20 +1,24 @@
-"""Cross-validation, exhaustive grid search, and benchmark-table assembly."""
+"""Cross-validation, exhaustive grid search, and benchmark-table assembly.
+
+``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
+caches one fold's kernel, distances, delta and scores, and its ``evaluate``
+fits one config with ``model.forward``/``model.fit_output_weights``. So
+``cross_validate(..., config_index=i)`` reproduces grid cell ``i`` exactly.
+"""
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
 
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
-from .kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, kernel_matrix
-from .model import ModelConfig, design_matrix, hidden_matrix, init_random_layer, \
-    predict, train
-from .solver import solve_auto
-from .weighting import WeightingConfig, class_probability, contribution_scores, huber_weights
+from .kernel import KernelParams, feature_space_distance_matrix, kernel_matrix
+from .model import ModelConfig, fit_output_weights, forward, init_random_layer
+from .weighting import WeightingConfig, resolve_delta, score_samples
 
 
 def accuracy(pred, truth) -> float:
@@ -45,23 +49,11 @@ def cross_validate(dataset: Dataset, config: ModelConfig, k: int, seed: int,
     """k-fold CV: normalization and weighting are fitted on the training folds only."""
     if assignment is None:
         assignment = stratified_k_fold(dataset, k, seed)
-    accs = np.full(k, np.nan)
-    skipped = []
-    for f in range(k):
-        tr_idx, te_idx = assignment.train_test_indices(f)
-        try:
-            train_ds = dataset.subset(tr_idx)
-        except DataError:
-            skipped.append(f)  # a class is absent from the training folds
-            continue
-        cfg = replace(config, seed=fold_seed(seed, config_index, f))
-        model = train(train_ds, cfg)
-        _, labels = predict(model, dataset.features[te_idx])
-        accs[f] = accuracy(labels, dataset.labels[te_idx])
-    valid = accs[~np.isnan(accs)]
-    if valid.size == 0:
-        raise DataError("every fold was skipped; dataset too small for this split")
-    return CVResult(accs, float(valid.mean()), tuple(skipped))
+    # one fold is built and released at a time: each holds l x l kernel matrices
+    contexts = (_FoldContext(dataset, assignment, f) for f in range(k))
+    accs, mean = _fold_accuracies(contexts, config, seed, config_index, k)
+    skipped = tuple(int(f) for f in np.flatnonzero(np.isnan(accs)))
+    return CVResult(accs, mean, skipped)
 
 
 @dataclass(frozen=True)
@@ -103,14 +95,14 @@ def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
 
 
 class _FoldContext:
-    """Per-fold preprocessed arrays plus caches shared across grid configs."""
+    """One fold's normalized arrays plus kernel and score caches shared across configs."""
 
     def __init__(self, dataset: Dataset, assignment: FoldAssignment, f: int):
         self.fold = f
         tr_idx, te_idx = assignment.train_test_indices(f)
         self.ok = np.unique(dataset.labels[tr_idx]).size == dataset.n_classes
         if not self.ok:
-            return
+            return  # a class is absent from the training folds: the fold is skipped
         norm = fit_normalization(dataset.features[tr_idx])
         self.X_tr = apply_normalization(dataset.features[tr_idx], norm)
         self.X_te = apply_normalization(dataset.features[te_idx], norm)
@@ -120,41 +112,38 @@ class _FoldContext:
         self._kernel_cache: dict = {}
         self._score_cache: dict = {}
 
-    def _kernel_entry(self, kgamma: float, quantile: float):
-        key = (kgamma, quantile)
+    def _kernel_entry(self, w: WeightingConfig):
+        key = (w.kernel, w.delta, w.delta_quantile)
         if key not in self._kernel_cache:
-            K = kernel_matrix(self.X_tr, self.X_tr, KernelParams(gamma=kgamma))
+            K = kernel_matrix(self.X_tr, self.X_tr, w.kernel)
             dist = feature_space_distance_matrix(K)
-            pair = dist[np.triu_indices(dist.shape[0], k=1)]
-            delta = float(np.quantile(pair, quantile))
-            self._kernel_cache[key] = (K, dist, delta)
+            self._kernel_cache[key] = (K, dist, resolve_delta(dist, w))
         return self._kernel_cache[key]
 
     def scores(self, w: WeightingConfig) -> np.ndarray:
-        key = (w.kernel.gamma, w.tau_multiplier, w.center_scheme, w.delta, w.delta_quantile)
-        if key not in self._score_cache:
-            K, dist, auto_delta = self._kernel_entry(w.kernel.gamma, w.delta_quantile)
-            delta = w.delta if w.delta is not None else auto_delta
-            cp = class_probability(self.y_tr, delta, dist)
-            geometry = build_class_geometry(self.y_tr, K, w.center_scheme)
-            m = huber_weights(self.y_tr, geometry, w.tau_multiplier)
-            self._score_cache[key] = contribution_scores(cp, m).r
-        return self._score_cache[key]
+        if w not in self._score_cache:
+            K, dist, delta = self._kernel_entry(w)
+            self._score_cache[w] = score_samples(self.y_tr, K, dist, delta, w).r
+        return self._score_cache[w]
 
     def evaluate(self, config: ModelConfig, seed: int) -> float:
         layer = init_random_layer(self.X_tr.shape[1], config.hidden_nodes, seed)
-        A1 = hidden_matrix(self.X_tr, layer, config.activation)
-        A2 = design_matrix(self.X_tr, A1, config.direct_link)
-        Y = self.Y_tr
-        if config.robust:
-            r = self.scores(config.resolved_weighting())
-            A2 = r[:, None] * A2
-            Y = r[:, None] * Y
-        W2 = solve_auto(A2, Y, config.gamma)
-        A1t = hidden_matrix(self.X_te, layer, config.activation)
-        A2t = design_matrix(self.X_te, A1t, config.direct_link)
-        labels = np.argmax(A2t @ W2, axis=1)
+        r = self.scores(config.resolved_weighting()) if config.robust else None
+        W2 = fit_output_weights(forward(self.X_tr, layer, config), self.Y_tr, r, config.gamma)
+        labels = np.argmax(forward(self.X_te, layer, config) @ W2, axis=1)
         return accuracy(labels, self.y_te)
+
+
+def _fold_accuracies(contexts, config: ModelConfig, seed: int, config_index: int, k: int):
+    """Per-fold accuracies (NaN for skipped folds) and their mean for one config."""
+    accs = np.full(k, np.nan)
+    for ctx in contexts:
+        if ctx.ok:
+            accs[ctx.fold] = ctx.evaluate(config, fold_seed(seed, config_index, ctx.fold))
+    valid = accs[~np.isnan(accs)]
+    if valid.size == 0:
+        raise DataError("every fold was skipped; dataset too small for this split")
+    return accs, float(valid.mean())
 
 
 def _evaluate_chunk(dataset, variant, grid, indices):
@@ -163,15 +152,8 @@ def _evaluate_chunk(dataset, variant, grid, indices):
     contexts = [_FoldContext(dataset, assignment, f) for f in range(grid.k)]
     out = []
     for ci in indices:
-        cfg = configs[ci]
-        accs = np.full(grid.k, np.nan)
-        for ctx in contexts:
-            if ctx.ok:
-                accs[ctx.fold] = ctx.evaluate(cfg, fold_seed(grid.seed, ci, ctx.fold))
-        valid = accs[~np.isnan(accs)]
-        if valid.size == 0:
-            raise DataError("every fold skipped during grid search")
-        out.append((ci, float(valid.mean()), accs))
+        accs, mean = _fold_accuracies(contexts, configs[ci], grid.seed, ci, grid.k)
+        out.append((ci, mean, accs))
     return out
 
 

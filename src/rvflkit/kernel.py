@@ -25,15 +25,6 @@ class KernelParams:
             raise KernelError("gamma must be positive")
 
 
-def rbf_kernel(x, y, params: KernelParams) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise KernelError(f"vector lengths differ: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.exp(-params.gamma * np.dot(d, d)))
-
-
 def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     """Pairwise kernel values, entry (i, j) = K(A_i, B_j)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
@@ -47,12 +38,6 @@ def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     return np.exp(-params.gamma * sq)
 
 
-def feature_space_distance(x, y, params: KernelParams) -> float:
-    """||theta(x) - theta(y)|| via the kernel trick; sqrt(2 - 2K) for RBF."""
-    k = rbf_kernel(x, y, params)
-    return float(np.sqrt(max(2.0 - 2.0 * k, 0.0)))
-
-
 def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
     """Pairwise feature-space distances from a square kernel matrix K(X, X)."""
     K = np.asarray(K, dtype=np.float64)
@@ -60,22 +45,6 @@ def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
     sq = diag[:, None] + diag[None, :] - 2.0 * K
     np.clip(sq, 0.0, None, out=sq)
     return np.sqrt(sq)
-
-
-def distance_to_average_center(i: int, class_indices, K: np.ndarray,
-                               class_constant: float | None = None) -> float:
-    """Distance of sample i to the kernel-mean center of a class.
-
-    class_constant may carry the cached (1/l_j^2) * sum K(g, g') term.
-    """
-    idx = np.asarray(class_indices)
-    if idx.size == 0:
-        raise KernelError("empty class")
-    lj = idx.size
-    if class_constant is None:
-        class_constant = float(K[np.ix_(idx, idx)].sum()) / (lj * lj)
-    sq = float(K[i, i]) - 2.0 / lj * float(K[i, idx].sum()) + class_constant
-    return float(np.sqrt(max(sq, 0.0)))
 
 
 def median_center(class_indices, K_class: np.ndarray) -> np.ndarray:
@@ -86,32 +55,14 @@ def median_center(class_indices, K_class: np.ndarray) -> np.ndarray:
     return np.median(K_class, axis=0)
 
 
-def distance_to_median_center(i: int, class_indices, center: np.ndarray,
-                              K: np.ndarray) -> float:
-    """Euclidean distance between the projected row K(x_i, G_j) and the center."""
-    idx = np.asarray(class_indices)
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape[0] != idx.size:
-        raise KernelError(f"center length {center.shape[0]} does not match class size {idx.size}")
-    row = K[i, idx]
-    return float(np.linalg.norm(row - center))
-
-
 @dataclass(frozen=True)
 class ClassGeometry:
-    """Per-class centers and radii for one center scheme, over a training kernel matrix."""
+    """Per-class radii and member distances for one center scheme, over a training kernel matrix."""
 
     scheme: str                       # "average" | "median"
     class_indices: tuple              # tuple of index arrays, one per class
-    centers: tuple                    # median scheme: per-class center vectors; else Nones
-    constants: tuple                  # average scheme: cached class kernel means; else Nones
     radii: np.ndarray                 # (m,) max member distance to own center
     distances: np.ndarray             # (l,) distance of each sample to its own class center
-
-    def distance_to_center(self, i: int, j: int, K: np.ndarray) -> float:
-        if self.scheme == "average":
-            return distance_to_average_center(i, self.class_indices[j], K, self.constants[j])
-        return distance_to_median_center(i, self.class_indices[j], self.centers[j], K)
 
 
 def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
@@ -119,9 +70,11 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
     if scheme not in ("average", "median"):
         raise KernelError(f"unknown center scheme {scheme!r}")
     labels = np.asarray(labels, dtype=np.int64)
-    m = int(labels.max()) + 1
     l = labels.shape[0]
-    idx_lists, centers, constants = [], [], []
+    if K.shape != (l, l):
+        raise KernelError(f"kernel matrix shape {K.shape} does not match {l} labels")
+    m = int(labels.max()) + 1
+    idx_lists = []
     distances = np.zeros(l)
     radii = np.zeros(m)
     for j in range(m):
@@ -131,36 +84,13 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
         idx_lists.append(idx)
         block = K[np.ix_(idx, idx)]
         if scheme == "average":
+            # ||theta(x_i) - mean||^2 = K_ii - 2/l_j sum_g K_ig + 1/l_j^2 sum_gg' K_gg'
             const = float(block.sum()) / (idx.size ** 2)
-            centers.append(None)
-            constants.append(const)
-            sq = np.diag(K)[idx] - 2.0 / idx.size * K[np.ix_(idx, idx)].sum(axis=1) + const
+            sq = np.diag(K)[idx] - 2.0 / idx.size * block.sum(axis=1) + const
             d = np.sqrt(np.clip(sq, 0.0, None))
         else:
             center = median_center(idx, block)
-            centers.append(center)
-            constants.append(None)
             d = np.linalg.norm(block - center[None, :], axis=1)
         distances[idx] = d
-        radii[j] = d.max() if d.size else 0.0
-    return ClassGeometry(scheme, tuple(idx_lists), tuple(centers), tuple(constants),
-                         radii, distances)
-
-
-def class_radius(class_indices, geometry: ClassGeometry, K: np.ndarray) -> float:
-    """Max distance of a class's members to their own class center."""
-    idx = np.asarray(class_indices)
-    if idx.size == 0:
-        raise KernelError("empty class")
-    for j, stored in enumerate(geometry.class_indices):
-        if np.array_equal(stored, idx):
-            return float(geometry.radii[j])
-    return float(max(geometry.distance_to_center(int(i), _class_of(geometry, int(i)), K)
-                     for i in idx))
-
-
-def _class_of(geometry: ClassGeometry, i: int) -> int:
-    for j, idx in enumerate(geometry.class_indices):
-        if i in idx:
-            return j
-    raise KernelError(f"sample {i} not in any class")
+        radii[j] = d.max()
+    return ClassGeometry(scheme, tuple(idx_lists), radii, distances)

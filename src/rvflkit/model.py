@@ -1,4 +1,9 @@
-"""Model variants: RVFL, ELM (no direct link), and the robust weighted variants."""
+"""Model variants: RVFL, ELM (no direct link), and the robust weighted variants.
+
+Every fit and scoring pass, in ``train``/``predict`` and in the CV fold code,
+maps normalized inputs to the design matrix with ``forward`` and solves the
+(r-weighted) ridge problem with ``fit_output_weights``.
+"""
 
 from __future__ import annotations
 
@@ -113,6 +118,21 @@ def design_matrix(X: np.ndarray, A1: np.ndarray, direct_link: bool) -> np.ndarra
     return A1
 
 
+def forward(Xn: np.ndarray, layer: RandomLayer, config: ModelConfig) -> np.ndarray:
+    """Design matrix of normalized inputs: [Xn, hidden] with the direct link, else hidden."""
+    A1 = hidden_matrix(Xn, layer, config.activation)
+    return design_matrix(Xn, A1, config.direct_link)
+
+
+def fit_output_weights(design: np.ndarray, Y: np.ndarray, r: np.ndarray | None,
+                       gamma: float) -> np.ndarray:
+    """Ridge output weights; per-sample scores r scale the rows of design and targets."""
+    if r is not None:
+        design = r[:, None] * design
+        Y = r[:, None] * Y
+    return solve_auto(design, Y, gamma)
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     random_layer: RandomLayer
@@ -127,31 +147,17 @@ class TrainedModel:
         return self.random_layer.input_weights.shape[0]
 
 
-def train(dataset: Dataset, config: ModelConfig,
-          scores_override: np.ndarray | None = None) -> TrainedModel:
-    """Fit one model: normalize, project, (optionally) weight, ridge-solve.
-
-    scores_override replaces the computed contribution scores on robust
-    variants; with all-ones scores the result matches plain RVFL exactly.
-    """
+def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
+    """Fit one model: normalize, project, (optionally) weight, ridge-solve."""
     norm = fit_normalization(dataset.features)
     Xn = apply_normalization(dataset.features, norm)
     layer = init_random_layer(dataset.n_features, config.hidden_nodes, config.seed)
-    A1 = hidden_matrix(Xn, layer, config.activation)
-    A2 = design_matrix(Xn, A1, config.direct_link)
-    Y = one_hot(dataset.labels, dataset.n_classes)
-
-    scores = None
+    scores = r = None
     if config.robust:
-        if scores_override is not None:
-            r = np.asarray(scores_override, dtype=np.float64)
-            scores = ContributionScores(np.ones_like(r), np.ones_like(r), r)
-        else:
-            scores = compute_contribution_scores(Xn, dataset.labels, config.resolved_weighting())
-            r = scores.r
-        A2 = r[:, None] * A2
-        Y = r[:, None] * Y
-    W2 = solve_auto(A2, Y, config.gamma)
+        scores = compute_contribution_scores(Xn, dataset.labels, config.resolved_weighting())
+        r = scores.r
+    Y = one_hot(dataset.labels, dataset.n_classes)
+    W2 = fit_output_weights(forward(Xn, layer, config), Y, r, config.gamma)
     return TrainedModel(layer, W2, norm, config, dataset.class_names, scores)
 
 
@@ -160,9 +166,7 @@ def predict_scores(model: TrainedModel, X_raw) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ModelError(f"expected {model.n_features} features, got shape {X.shape}")
     Xn = apply_normalization(X, model.normalization)
-    A1 = hidden_matrix(Xn, model.random_layer, model.config.activation)
-    A2 = design_matrix(Xn, A1, model.config.direct_link)
-    return A2 @ model.output_weights
+    return forward(Xn, model.random_layer, model.config) @ model.output_weights
 
 
 def predict(model: TrainedModel, X_raw):
@@ -245,6 +249,15 @@ def load_model(path) -> TrainedModel:
     payload, digest = blob[len(MODEL_MAGIC) + 4:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise ModelFormatError("checksum mismatch: model file is corrupted")
+    try:
+        return _parse_payload(payload)
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise ModelFormatError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_payload(payload: bytes) -> TrainedModel:
     buf = io.BytesIO(payload)
     (hlen,) = struct.unpack("<I", buf.read(4))
     header = json.loads(buf.read(hlen).decode("utf-8"))

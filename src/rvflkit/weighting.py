@@ -1,4 +1,9 @@
-"""Per-sample contribution scores: class probability, Huber weights, and their product."""
+"""Per-sample contribution scores: class probability, Huber weights, and their product.
+
+Every caller resolves delta with ``resolve_delta`` and scores with
+``score_samples``; ``compute_contribution_scores`` builds the kernel and
+distance matrices for ``train``, the CV fold code passes its cached ones.
+"""
 
 from __future__ import annotations
 
@@ -48,16 +53,12 @@ class ContributionScores:
     r: np.ndarray
 
 
-def resolve_delta(features, config: WeightingConfig, K: np.ndarray | None = None) -> float:
-    """Resolve the neighborhood radius: absolute value or pairwise-distance quantile."""
+def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
+    """Neighborhood radius: the absolute delta, or a quantile of the pairwise distances."""
     if config.delta is not None:
         return float(config.delta)
-    X = np.asarray(features, dtype=np.float64)
-    if X.shape[0] < 2:
+    if dist.shape[0] < 2:
         raise WeightingError("need at least 2 samples to resolve delta from pairwise distances")
-    if K is None:
-        K = kernel_matrix(X, X, config.kernel)
-    dist = feature_space_distance_matrix(K)
     pair = dist[np.triu_indices(dist.shape[0], k=1)]
     return float(np.quantile(pair, config.delta_quantile))
 
@@ -95,15 +96,19 @@ def contribution_scores(cp, m) -> ContributionScores:
     return ContributionScores(cp, m, cp * m)
 
 
-def compute_contribution_scores(features, labels, config: WeightingConfig,
-                                K: np.ndarray | None = None) -> ContributionScores:
-    """Full weighting pipeline on normalized training features."""
-    X = np.asarray(features, dtype=np.float64)
-    if K is None:
-        K = kernel_matrix(X, X, config.kernel)
-    dist = feature_space_distance_matrix(K)
-    delta = config.delta if config.delta is not None else resolve_delta(X, config, K)
-    cp = class_probability(labels, float(delta), dist)
+def score_samples(labels, K: np.ndarray, dist: np.ndarray, delta: float,
+                  config: WeightingConfig) -> ContributionScores:
+    """cp * Huber scores from a training kernel matrix and its distance matrix."""
+    cp = class_probability(labels, delta, dist)
     geometry = build_class_geometry(labels, K, config.center_scheme)
     m = huber_weights(labels, geometry, config.tau_multiplier)
     return contribution_scores(cp, m)
+
+
+def compute_contribution_scores(features, labels, config: WeightingConfig,
+                                K: np.ndarray | None = None) -> ContributionScores:
+    """Full weighting pipeline on normalized training features."""
+    if K is None:
+        K = kernel_matrix(features, features, config.kernel)
+    dist = feature_space_distance_matrix(K)
+    return score_samples(labels, K, dist, resolve_delta(dist, config), config)

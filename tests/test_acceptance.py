@@ -21,6 +21,7 @@ from rvflkit.solver import solve_auto, solve_dual, solve_primal
 from rvflkit.stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
 from rvflkit.weighting import WeightingConfig, compute_contribution_scores
 from rvflkit.cli import main as cli_main
+from conftest import fit_with_unit_scores
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 
@@ -143,7 +144,7 @@ def test_criterion_5_reduction():
         base = train(ds, ModelConfig("rvfl", hidden, gamma, seed=seed))
         for variant in ("r2vfl-a", "r2vfl-m"):
             cfg = ModelConfig(variant, hidden, gamma, seed=seed, weighting=wcfg)
-            robust = train(ds, cfg, scores_override=np.ones(len(ds.labels)))
+            robust = fit_with_unit_scores(ds, cfg)
             diff = np.linalg.norm(robust.output_weights - base.output_weights)
             assert diff <= 1e-10, (trial, variant)
             np.testing.assert_array_equal(predict(robust, ds.features)[1],

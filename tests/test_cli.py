@@ -135,6 +135,46 @@ class TestBench:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("manifest_is_list", 2),
+    ("manifest_without_datasets", 2),
+    ("dataset_without_path", 2),
+    ("one_row_ranks", 2),
+    ("empty_table", 2),
+    ("unknown_reference", 1),
+    ("reference_index_out_of_range", 1),
+])
+def test_malformed_input_is_one_line_error(tmp_path, capsys, case, code):
+    ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
+    out = str(tmp_path / "out")
+    argv = {
+        "manifest_is_list": ["bench", "--out", out,
+                             "--manifest", _write(tmp_path / "m.json", "[1, 2]")],
+        "manifest_without_datasets": ["bench", "--out", out,
+                                      "--manifest", _write(tmp_path / "m.json", '{"k": 2}')],
+        "dataset_without_path": ["bench", "--out", out, "--manifest",
+                                 _write(tmp_path / "m.json", '{"datasets": [{"name": "a"}]}')],
+        "one_row_ranks": ["stats", "friedman", "--datasets", "30",
+                          "--ranks", _write(tmp_path / "r.csv", "a,b,c\n")],
+        "empty_table": ["stats", "friedman", "--table", _write(tmp_path / "t.csv", "")],
+        "unknown_reference": ["stats", "nemenyi", "--ranks", ranks, "--datasets", "30",
+                              "--q-alpha", "3.164", "--reference", "foo"],
+        "reference_index_out_of_range": ["stats", "nemenyi", "--ranks", ranks,
+                                         "--datasets", "30", "--q-alpha", "3.164",
+                                         "--reference", "10"],
+    }[case]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error: " if code == 1 else "error: ")
+
+
 class TestStats:
     def test_friedman_on_shipped_fixture(self, capsys):
         code, out = run(capsys, "stats", "friedman",

@@ -4,28 +4,27 @@ import numpy as np
 import pytest
 
 from rvflkit.kernel import KernelError, KernelParams, build_class_geometry, \
-    class_radius, distance_to_average_center, distance_to_median_center, feature_space_distance, \
-    kernel_matrix, median_center, rbf_kernel
+    feature_space_distance_matrix, kernel_matrix, median_center
+from conftest import feature_space_distance, rbf_kernel
 
 P1 = KernelParams(gamma=1.0)
 
 
 class TestRbfKernel:
     def test_same_point_is_one(self):
-        assert rbf_kernel([1.0, 2.0], [1.0, 2.0], P1) == 1.0
+        assert kernel_matrix([[1.0, 2.0]], [[1.0, 2.0]], P1)[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert rbf_kernel([0.0, 0.0], [1.0, 0.0], P1) == pytest.approx(np.exp(-1))
+        assert kernel_matrix([[0.0, 0.0]], [[1.0, 0.0]], P1)[0, 0] == pytest.approx(np.exp(-1))
 
     def test_small_gamma_large_distance(self):
         # gamma 2^-5 with squared distance 32 -> exp(-1)
-        x = np.zeros(1)
-        y = np.array([np.sqrt(32.0)])
-        assert rbf_kernel(x, y, KernelParams(gamma=2 ** -5)) == pytest.approx(np.exp(-1))
+        K = kernel_matrix([[0.0]], [[np.sqrt(32.0)]], KernelParams(gamma=2 ** -5))
+        assert K[0, 0] == pytest.approx(np.exp(-1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(KernelError):
-            rbf_kernel([1.0], [1.0, 2.0], P1)
+            kernel_matrix([[1.0]], [[1.0, 2.0]], P1)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(KernelError):
@@ -58,47 +57,48 @@ class TestKernelMatrix:
             assert K[i, j] == pytest.approx(rbf_kernel(A[i], B[j], P1))
 
 
+def distances(X, params=P1):
+    return feature_space_distance_matrix(kernel_matrix(X, X, params))
+
+
 class TestFeatureSpaceDistance:
     def test_zero_for_identical(self):
-        assert feature_space_distance([1.0, 1.0], [1.0, 1.0], P1) == 0.0
+        assert distances([[1.0, 1.0], [1.0, 1.0]])[0, 1] == 0.0
 
     def test_hand_value(self):
         # K = exp(-1) -> sqrt(2 - 2 exp(-1))
-        x, y = np.zeros(2), np.array([1.0, 0.0])
         expected = np.sqrt(2 - 2 * np.exp(-1))
-        assert feature_space_distance(x, y, P1) == pytest.approx(expected)
+        assert distances([[0.0, 0.0], [1.0, 0.0]])[0, 1] == pytest.approx(expected)
         assert expected == pytest.approx(1.1243, abs=1e-4)
 
     def test_bounded_by_sqrt2(self, rng):
-        for _ in range(50):
-            x, y = rng.normal(size=2), rng.normal(size=2)
-            d = feature_space_distance(x, y, P1)
-            assert 0.0 <= d < np.sqrt(2)
+        D = distances(rng.normal(size=(50, 2)))
+        assert np.all(D >= 0.0) and np.all(D < np.sqrt(2))
 
     def test_symmetry_and_identity(self, rng):
         x, y = rng.normal(size=3), rng.normal(size=3)
-        assert feature_space_distance(x, y, P1) == pytest.approx(
-            feature_space_distance(y, x, P1), abs=1e-12)
-        assert feature_space_distance(x, x, P1) <= 1e-12
+        D = distances([x, y])
+        assert D[0, 1] == pytest.approx(D[1, 0], abs=1e-12)
+        assert D[0, 1] == pytest.approx(feature_space_distance(x, y, P1), abs=1e-12)
+        assert D[0, 0] <= 1e-12
 
 
 class TestCenters:
     def test_singleton_class_distance_zero(self):
-        K = np.array([[1.0]])
-        assert distance_to_average_center(0, [0], K) == 0.0
+        assert build_class_geometry([0], np.array([[1.0]]), "average").distances[0] == 0.0
 
     def test_two_identical_points(self):
-        K = np.ones((2, 2))
-        assert distance_to_average_center(0, [0, 1], K) == pytest.approx(0.0, abs=1e-8)
+        geo = build_class_geometry([0, 0], np.ones((2, 2)), "average")
+        assert geo.distances[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_hand_value_average(self):
         # class {a, b}, K(a,b)=0.5, query a -> 0.5
         K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert distance_to_average_center(0, [0, 1], K) == pytest.approx(0.5)
+        assert build_class_geometry([0, 0], K, "average").distances[0] == pytest.approx(0.5)
 
     def test_empty_class(self):
         with pytest.raises(KernelError):
-            distance_to_average_center(0, [], np.eye(2))
+            build_class_geometry([1, 1], np.eye(2), "average")
 
     def test_median_center_single_sample(self):
         np.testing.assert_allclose(median_center([0], np.array([[1.0]])), [1.0])
@@ -117,18 +117,17 @@ class TestCenters:
         np.testing.assert_allclose(c2, c[perm])
 
     def test_distance_to_median_center_hand_value(self):
-        K = np.array([[0.0, 0.9, 0.1]])
-        center = np.array([0.5, 0.5])
-        d = distance_to_median_center(0, [1, 2], center, K)
-        assert d == pytest.approx(np.sqrt(0.32))
+        # rows (1, 0.2) and (0.2, 1): median center (0.6, 0.6), both at sqrt(0.32)
+        K = np.array([[1.0, 0.2], [0.2, 1.0]])
+        geo = build_class_geometry([0, 0], K, "median")
+        np.testing.assert_allclose(geo.distances, np.sqrt(0.32), rtol=1e-12)
 
     def test_distance_to_median_center_zero(self):
-        K = np.array([[1.0]])
-        assert distance_to_median_center(0, [0], np.array([1.0]), K) == 0.0
+        assert build_class_geometry([0], np.array([[1.0]]), "median").distances[0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(KernelError):
-            distance_to_median_center(0, [0], np.array([1.0, 2.0]), np.eye(1))
+            build_class_geometry([0, 0], np.eye(1), "median")
 
 
 class TestGeometry:
@@ -137,7 +136,7 @@ class TestGeometry:
         geo = build_class_geometry([0, 0], np.array(K), "average")
         # both members at distance 0.5 from the mean, radius 0.5
         np.testing.assert_allclose(geo.distances, [0.5, 0.5])
-        assert class_radius([0, 1], geo, K) == pytest.approx(0.5)
+        assert geo.radii[0] == pytest.approx(0.5)
 
     def test_identical_points_radius_zero(self):
         K = np.ones((3, 3))
@@ -160,14 +159,17 @@ class TestGeometry:
         # degree-2 polynomial kernel has the explicit map phi(x) = outer(x, x);
         # the kernel-trick distance must agree with distances in that space
         for _ in range(10):
-            lj = int(rng.integers(1, 6))
-            X = rng.normal(size=(lj + 1, 3))
+            sizes = rng.integers(1, 6, size=2)
+            X = rng.normal(size=(sizes.sum(), 3))
+            y = np.repeat([0, 1], sizes)
             K = (X @ X.T) ** 2
             phi = np.array([np.outer(x, x).ravel() for x in X])
-            center = phi[:lj].mean(axis=0)
-            expected = np.linalg.norm(phi[lj] - center)
-            got = distance_to_average_center(lj, list(range(lj)), K)
-            assert got == pytest.approx(expected, abs=1e-9)
+            geo = build_class_geometry(y, K, "average")
+            for j in (0, 1):
+                idx = np.flatnonzero(y == j)
+                expected = np.linalg.norm(phi[idx] - phi[idx].mean(axis=0), axis=1)
+                np.testing.assert_allclose(geo.distances[idx], expected, rtol=0, atol=1e-9)
+                assert geo.radii[j] == pytest.approx(expected.max(), abs=1e-9)
 
     def test_unknown_scheme(self):
         with pytest.raises(KernelError):

@@ -1,13 +1,18 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from rvflkit.data import Dataset, apply_normalization, one_hot
 from rvflkit.kernel import KernelParams
-from rvflkit.model import ModelConfig, ModelError, ModelFormatError, RandomLayer, design_matrix, \
-    hidden_matrix, init_random_layer, load_model, predict, predict_scores, save_model, train
+from rvflkit.model import MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, ModelFormatError, \
+    RandomLayer, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
+    predict_scores, save_model, train
 from rvflkit.solver import solve_primal
 from rvflkit.weighting import WeightingConfig
-from conftest import random_dataset
+from conftest import fit_with_unit_scores, random_dataset
 
 WCFG = WeightingConfig(kernel=KernelParams(gamma=1.0))
 
@@ -80,7 +85,7 @@ class TestTrain:
         base = ModelConfig("rvfl", 23, 1e3, seed=5)
         robust = ModelConfig("r2vfl-a", 23, 1e3, seed=5, weighting=WCFG)
         m_base = train(ds, base)
-        m_rob = train(ds, robust, scores_override=np.ones(4))
+        m_rob = fit_with_unit_scores(ds, robust)
         assert np.linalg.norm(m_rob.output_weights - m_base.output_weights) <= 1e-10
         np.testing.assert_array_equal(predict(m_rob, ds.features)[1],
                                       predict(m_base, ds.features)[1])
@@ -198,3 +203,23 @@ class TestSerialization:
         p.write_bytes(b"hello")
         with pytest.raises(ModelFormatError):
             load_model(p)
+
+    @pytest.mark.parametrize("case", ["missing_keys", "header_length_past_end", "no_arrays"])
+    def test_malformed_payload_with_valid_checksum(self, rng, tmp_path, case):
+        _, model = self.make(rng)
+        path = tmp_path / "m.rvfl"
+        save_model(model, path)
+        payload = path.read_bytes()[len(MODEL_MAGIC) + 4:-32]
+        (hlen,) = struct.unpack_from("<I", payload)
+        header = payload[4:4 + hlen]
+        if case == "missing_keys":
+            header = json.dumps({"variant": "r2vfl-m"}).encode()
+            payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
+        elif case == "header_length_past_end":
+            payload = struct.pack("<I", hlen + 100) + header
+        else:
+            payload = payload[:4 + hlen]
+        path.write_bytes(MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + payload
+                         + hashlib.sha256(payload).digest())
+        with pytest.raises(ModelFormatError):
+            load_model(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from rvflkit.solver import SolverError, solve_auto, solve_dual, solve_primal
@@ -95,3 +96,33 @@ def test_monotone_shrinkage(rng):
     Y = rng.normal(size=(12, 2))
     norms = [np.linalg.norm(solve_primal(D, Y, g)) for g in (1e-3, 1e-1, 1e1, 1e3)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+class TestFactorizationFailure:
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced failure")
+
+    def test_cholesky_failure_falls_back_to_lu(self, rng, monkeypatch):
+        lu_calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting_lu(*args, **kwargs):
+            lu_calls.append(1)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", self.fail)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+        D = rng.normal(size=(6, 3))
+        Y = rng.normal(size=(6, 2))
+        np.testing.assert_allclose(solve_primal(D, Y, 10.0), oracle(D, Y, 10.0), atol=1e-9)
+        np.testing.assert_allclose(solve_dual(D, Y, 10.0), oracle(D, Y, 10.0), atol=1e-9)
+        assert len(lu_calls) == 2
+
+    def test_lu_failure_raises_with_condition_estimate(self, rng, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "cho_factor", self.fail)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", self.fail)
+        D = rng.normal(size=(6, 3))
+        for solve in (solve_primal, solve_dual):
+            with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e[+-]\d+"):
+                solve(D, np.ones((6, 2)), 10.0)

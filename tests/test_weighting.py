@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance, \
-    feature_space_distance_matrix, kernel_matrix
+from rvflkit import weighting
+from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
+    kernel_matrix
+from rvflkit.model import ModelConfig, train
 from rvflkit.weighting import WeightingConfig, WeightingError, \
     class_probability, compute_contribution_scores, contribution_scores, huber_weights, \
     resolve_delta
-from conftest import random_dataset
+from conftest import feature_space_distance, random_dataset
 
 KP = KernelParams(gamma=1.0)
 
@@ -88,20 +90,20 @@ class TestContributionScores:
 class TestResolveDelta:
     def test_absolute(self):
         cfg = WeightingConfig(kernel=KP, delta=0.3)
-        assert resolve_delta(np.zeros((2, 1)), cfg) == 0.3
+        assert resolve_delta(np.zeros((2, 2)), cfg) == 0.3
 
     def test_single_pair(self):
         X = np.array([[0.0], [1.0]])
         cfg = WeightingConfig(kernel=KP)
         expected = feature_space_distance(X[0], X[1], KP)
-        assert resolve_delta(X, cfg) == pytest.approx(expected)
+        assert resolve_delta(dist_matrix(X), cfg) == pytest.approx(expected)
 
     def test_median_of_three_pairs(self):
         X = np.array([[0.0], [0.3], [0.9]])
         cfg = WeightingConfig(kernel=KP)
         d = sorted(feature_space_distance(X[i], X[j], KP)
                    for i in range(3) for j in range(i + 1, 3))
-        assert resolve_delta(X, cfg) == pytest.approx(d[1])
+        assert resolve_delta(dist_matrix(X), cfg) == pytest.approx(d[1])
 
     def test_needs_two_samples(self):
         with pytest.raises(WeightingError):
@@ -134,3 +136,18 @@ def test_clean_central_sample_gets_full_score():
     cfg = WeightingConfig(kernel=KP, delta=0.1)
     s = compute_contribution_scores(X, y, cfg)
     np.testing.assert_allclose(s.r[:5], 1.0)
+
+
+@pytest.mark.parametrize("variant", ["r2vfl-a", "r2vfl-m"])
+def test_robust_train_builds_distance_matrix_once(rng, monkeypatch, variant):
+    calls = []
+    original = weighting.feature_space_distance_matrix
+
+    def counting(K):
+        calls.append(K.shape)
+        return original(K)
+
+    monkeypatch.setattr(weighting, "feature_space_distance_matrix", counting)
+    ds = random_dataset(rng, n_samples=20)
+    train(ds, ModelConfig(variant, 9, 10.0, seed=1, weighting=WeightingConfig(kernel=KP)))
+    assert calls == [(20, 20)]
