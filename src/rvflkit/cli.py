@@ -92,6 +92,10 @@ def _read_table(path) -> BenchmarkTable:
         raise DataError(f"{path} is empty; expected a header row of model names")
     header, body = rows[0], rows[1:]
     body = [r for r in body if r[0] not in ("Average Accuracy", "Average Rank")]
+    for r in body:
+        if len(r) != len(header):
+            raise DataError(f"{path}: row {r[0]!r} has {len(r)} fields; "
+                            f"the header has {len(header)}")
     acc = np.array([[float(x) for x in r[1:]] for r in body])
     return BenchmarkTable.from_accuracy(header[1:], [r[0] for r in body], acc)
 
@@ -101,6 +105,9 @@ def _read_ranks(path):
         rows = [r for r in csv.reader(fh) if r]
     if len(rows) < 2:
         raise DataError(f"{path} must hold a header row of model names and a row of ranks")
+    if len(rows[1]) != len(rows[0]):
+        raise DataError(f"{path}: the rank row has {len(rows[1])} fields; "
+                        f"the header has {len(rows[0])}")
     return rows[0], np.array([float(x) for x in rows[1]])
 
 
@@ -164,12 +171,24 @@ def cmd_cv(args):
     return EXIT_OK
 
 
-def _grid_spec(args, overlay) -> GridSpec:
-    kwargs = {}
+def _grid_axes(overlay, source) -> dict:
+    """The grid axes a JSON object sets, as tuples; each must be a list of numbers."""
+    if not isinstance(overlay, dict):
+        raise DataError(f"{source}: the grid must be a JSON object")
+    axes = {}
     for key in ("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid"):
-        value = _resolve(args, overlay, key, None)
-        if value is not None:
-            kwargs[key] = tuple(value)
+        if key not in overlay:
+            continue
+        value = overlay[key]
+        if not isinstance(value, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            raise DataError(f"{source}: \"{key}\" must be a list of numbers")
+        axes[key] = tuple(value)
+    return axes
+
+
+def _grid_spec(args, overlay) -> GridSpec:
+    kwargs = _grid_axes(overlay, args.grid_file)
     kwargs["k"] = int(_resolve(args, overlay, "k", 5))
     kwargs["seed"] = int(_resolve(args, overlay, "seed", 0))
     delta = _resolve(args, overlay, "delta", None)
@@ -222,9 +241,7 @@ def cmd_bench(args):
                         "that each give a \"path\"")
     models = args.models.split(",") if args.models else manifest.get(
         "models", ["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
-    grid_overlay = manifest.get("grid", {})
-    grid_kwargs = {k: tuple(v) for k, v in grid_overlay.items()
-                   if k in ("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid")}
+    grid_kwargs = _grid_axes(manifest.get("grid", {}), args.manifest)
     grid_kwargs["k"] = int(manifest.get("k", 5))
     grid_kwargs["seed"] = int(manifest.get("seed", 0))
     grid = GridSpec(**grid_kwargs)

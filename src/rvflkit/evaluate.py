@@ -4,6 +4,11 @@
 caches one fold's kernel, distances, delta and scores, and its ``evaluate``
 fits one config with ``model.forward``/``model.fit_output_weights``. So
 ``cross_validate(..., config_index=i)`` reproduces grid cell ``i`` exactly.
+
+Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
+``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
+each pool worker's entry point. ``grid_search(jobs=N)`` uses N cores through N
+worker processes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_n
     one_hot, stratified_k_fold
 from .kernel import KernelParams, feature_space_distance_matrix, kernel_matrix
 from .model import ModelConfig, fit_output_weights, forward, init_random_layer
+from .solver import single_blas_thread
 from .weighting import WeightingConfig, resolve_delta, score_samples
 
 
@@ -43,6 +49,7 @@ class CVResult:
     skipped_folds: tuple[int, ...] = ()
 
 
+@single_blas_thread()
 def cross_validate(dataset: Dataset, config: ModelConfig, k: int, seed: int,
                    assignment: FoldAssignment | None = None,
                    config_index: int = 0) -> CVResult:
@@ -146,6 +153,7 @@ def _fold_accuracies(contexts, config: ModelConfig, seed: int, config_index: int
     return accs, float(valid.mean())
 
 
+@single_blas_thread()
 def _evaluate_chunk(dataset, variant, grid, indices):
     configs = enumerate_configs(variant, grid)
     assignment = stratified_k_fold(dataset, grid.k, grid.seed)

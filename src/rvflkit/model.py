@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import expit
 
 from .data import Dataset, NormalizationParams, apply_normalization, fit_normalization, one_hot
 from .kernel import KernelParams
@@ -49,8 +50,8 @@ class ModelConfig:
             raise ModelError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.activation not in ACTIVATIONS:
             raise ModelError(f"unknown activation {self.activation!r}")
-        if self.hidden_nodes < 1:
-            raise ModelError("hidden_nodes must be >= 1")
+        if not isinstance(self.hidden_nodes, (int, np.integer)) or self.hidden_nodes < 1:
+            raise ModelError("hidden_nodes must be an integer >= 1")
         if not self.gamma > 0:
             raise ModelError("gamma must be positive")
         if self.variant in ("r2vfl-a", "r2vfl-m") and self.weighting is None:
@@ -89,12 +90,7 @@ def init_random_layer(n_features: int, hidden_nodes: int, seed: int) -> RandomLa
 
 def _activate(Z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "sigmoid":
-        out = np.empty_like(Z)
-        pos = Z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-Z[pos]))
-        ez = np.exp(Z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return expit(Z)
     if activation == "tanh":
         return np.tanh(Z)
     if activation == "relu":

@@ -1,13 +1,63 @@
-"""Closed-form ridge solves in primal and dual form with the dimension-based switch."""
+"""Closed-form ridge solves in primal and dual form with the dimension-based switch.
+
+``single_blas_thread`` runs a block with one OpenBLAS thread. The CV and grid
+fold code fits thousands of small ridge problems (a few hundred columns), on
+which a multithreaded ``D.T @ D`` and Cholesky are many times slower than a
+single-threaded one; more cores are used through worker processes instead.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 import scipy.linalg
 
+# (package, symbol suffix) of the OpenBLAS builds bundled in the numpy and scipy wheels
+_OPENBLAS_BUILDS = ((np, "64_"), (scipy, ""))
+
 
 class SolverError(RuntimeError):
     pass
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS build that is found."""
+    controls = []
+    for package, suffix in _OPENBLAS_BUILDS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in sorted(glob.glob(os.path.join(site, f"{package.__name__}.libs",
+                                                  "libscipy_openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with one thread in each bundled OpenBLAS; restore the counts after."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, previous):
+            set_(n)
 
 
 def _spd_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,10 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
+import scipy
 
 from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot
 from rvflkit.model import TrainedModel, fit_output_weights, forward, init_random_layer
@@ -35,6 +40,46 @@ def rbf_kernel(x, y, params) -> float:
 def feature_space_distance(x, y, params) -> float:
     """Scalar kernel-trick distance oracle: ||theta(x) - theta(y)|| = sqrt(2 - 2K) for RBF."""
     return float(np.sqrt(max(2.0 - 2.0 * rbf_kernel(x, y, params), 0.0)))
+
+
+def masked_sigmoid(Z):
+    """Two-branch sigmoid oracle: exp is only taken of non-positive arguments."""
+    out = np.empty_like(Z)
+    pos = Z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-Z[pos]))
+    ez = np.exp(Z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of the OpenBLAS builds bundled with numpy and scipy."""
+    found = []
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)),
+                            f"{module.__name__}.libs", "libscipy_openblas*.so*")
+        for path in glob.glob(libs):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+    return found
+
+
+@pytest.fixture
+def blas_threads():
+    """Sets every bundled OpenBLAS to 2 threads; yields a reader of their thread counts."""
+    functions = _openblas_thread_functions()
+    if not functions:
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    original = [get() for get, _ in functions]
+    for _, set_ in functions:
+        set_(2)
+    yield lambda: tuple(get() for get, _ in functions)
+    for (_, set_), n in zip(functions, original):
+        set_(n)
 
 
 @pytest.fixture

@@ -148,31 +148,64 @@ def _write(path, text):
     ("empty_table", 2),
     ("unknown_reference", 1),
     ("reference_index_out_of_range", 1),
+    ("grid_entry_not_a_list", 2),
+    ("grid_entry_not_numeric", 2),
+    ("grid_hidden_not_integer", 2),
+    ("bench_grid_entry_not_a_list", 2),
+    ("bench_grid_not_an_object", 2),
+    ("short_rank_row_nemenyi", 2),
+    ("short_rank_row_friedman", 2),
+    ("ragged_table_row", 2),
 ])
-def test_malformed_input_is_one_line_error(tmp_path, capsys, case, code):
+def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
     out = str(tmp_path / "out")
+    data = str(toy_csv)
+    bench = '{"datasets": [{"path": "%s"}], "grid": %s}'
     argv = {
         "manifest_is_list": ["bench", "--out", out,
-                             "--manifest", _write(tmp_path / "m.json", "[1, 2]")],
-        "manifest_without_datasets": ["bench", "--out", out,
-                                      "--manifest", _write(tmp_path / "m.json", '{"k": 2}')],
-        "dataset_without_path": ["bench", "--out", out, "--manifest",
-                                 _write(tmp_path / "m.json", '{"datasets": [{"name": "a"}]}')],
+                             "--manifest", _write(tmp_path / "list.json", "[1, 2]")],
+        "manifest_without_datasets": ["bench", "--out", out, "--manifest",
+                                      _write(tmp_path / "no_datasets.json", '{"k": 2}')],
+        "dataset_without_path": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "no_path.json", '{"datasets": [{"name": "a"}]}')],
         "one_row_ranks": ["stats", "friedman", "--datasets", "30",
-                          "--ranks", _write(tmp_path / "r.csv", "a,b,c\n")],
-        "empty_table": ["stats", "friedman", "--table", _write(tmp_path / "t.csv", "")],
+                          "--ranks", _write(tmp_path / "one_row.csv", "a,b,c\n")],
+        "empty_table": ["stats", "friedman", "--table", _write(tmp_path / "empty.csv", "")],
         "unknown_reference": ["stats", "nemenyi", "--ranks", ranks, "--datasets", "30",
                               "--q-alpha", "3.164", "--reference", "foo"],
         "reference_index_out_of_range": ["stats", "nemenyi", "--ranks", ranks,
                                          "--datasets", "30", "--q-alpha", "3.164",
                                          "--reference", "10"],
+        "grid_entry_not_a_list": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                                  _write(tmp_path / "int_axis.json", '{"gamma_grid": 5}')],
+        "grid_entry_not_numeric": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                                   _write(tmp_path / "str_item.json", '{"hidden_grid": [3, "a"]}')],
+        "grid_hidden_not_integer": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                                    _write(tmp_path / "float_hidden.json",
+                                           '{"hidden_grid": [3.5]}')],
+        "bench_grid_entry_not_a_list": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "bench_int_axis.json", bench % (data, '{"gamma_grid": 5}'))],
+        "bench_grid_not_an_object": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "bench_list_grid.json", bench % (data, "[1, 2]"))],
+        "short_rank_row_nemenyi": ["stats", "nemenyi", "--datasets", "5", "--q-alpha", "2.3",
+                                   "--ranks", _write(tmp_path / "short_n.csv", "a,b,c\n1,2\n")],
+        "short_rank_row_friedman": ["stats", "friedman", "--datasets", "5",
+                                    "--ranks", _write(tmp_path / "short_f.csv", "a,b,c\n1,2\n")],
+        "ragged_table_row": ["stats", "friedman", "--table", _write(
+            tmp_path / "ragged.csv", "dataset,a,b\nd1,80,90\nd2,70\nd3,60,65\n")],
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("usage error: " if code == 1 else "error: ")
+    # the message names what is wrong
+    assert {"grid_entry_not_a_list": '"gamma_grid"', "grid_entry_not_numeric": '"hidden_grid"',
+            "grid_hidden_not_integer": "hidden_nodes",
+            "bench_grid_entry_not_a_list": '"gamma_grid"', "bench_grid_not_an_object": "grid",
+            "short_rank_row_nemenyi": "rank row", "short_rank_row_friedman": "rank row",
+            "ragged_table_row": "'d2'"}.get(case, "") in err
 
 
 class TestStats:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import rvflkit.evaluate
+import rvflkit.model
 from rvflkit.data import Dataset
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
     enumerate_configs, grid_search
 from rvflkit.kernel import KernelParams
-from rvflkit.model import ModelConfig
+from rvflkit.model import ModelConfig, train
 from rvflkit.weighting import WeightingConfig
 from conftest import random_dataset
 
@@ -114,6 +116,61 @@ class TestGridSearch:
             ref = cross_validate(ds, configs[ci], grid.k, grid.seed, config_index=ci)
             np.testing.assert_array_equal(res.trace[ci][2], ref.fold_accuracies)
             assert res.trace[ci][1] == ref.mean
+
+
+class TestSingleBlasThread:
+    """The CV and grid fold code fits with one OpenBLAS thread; train keeps the default."""
+
+    GRID = GridSpec(gamma_grid=(1.0, 10.0), hidden_grid=(5,), kernel_grid=(1.0,),
+                    tau_grid=(1.0,), k=2, seed=0)
+    CONFIG = ModelConfig("r2vfl-m", 5, 1.0, seed=0,
+                         weighting=WeightingConfig(kernel=KernelParams(gamma=1.0)))
+
+    @pytest.fixture
+    def seen(self, monkeypatch, blas_threads):
+        """Thread counts recorded at every ridge solve."""
+        counts = []
+        real = rvflkit.model.solve_auto
+
+        def recording(*args, **kwargs):
+            counts.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rvflkit.model, "solve_auto", recording)
+        return counts
+
+    def run(self, how, rng):
+        ds = random_dataset(rng, n_samples=20, n_classes=2)
+        if how == "grid":
+            grid_search(ds, "r2vfl-m", self.GRID, jobs=1)
+        else:
+            cross_validate(ds, self.CONFIG, k=2, seed=0)
+
+    @pytest.mark.parametrize("how", ["grid", "cv"])
+    def test_one_thread_inside_then_restored(self, how, rng, seen, blas_threads):
+        before = blas_threads()
+        self.run(how, rng)
+        assert seen and all(c == (1,) * len(before) for c in seen)
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("how", ["grid", "cv"])
+    def test_restored_when_a_fit_raises(self, how, rng, seen, blas_threads, monkeypatch):
+        def failing(*args, **kwargs):
+            seen.append(blas_threads())
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(rvflkit.evaluate, "fit_output_weights", failing)
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="fit failed"):
+            self.run(how, rng)
+        assert seen == [(1,) * len(before)]
+        assert blas_threads() == before
+
+    def test_train_keeps_default_threads(self, rng, seen, blas_threads):
+        before = blas_threads()
+        train(random_dataset(rng, n_samples=20, n_classes=2), self.CONFIG)
+        assert seen == [before]
+        assert blas_threads() == before
 
 
 class TestAverageRanks:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from rvflkit.data import Dataset, apply_normalization, one_hot
 from rvflkit.kernel import KernelParams
 from rvflkit.model import MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, ModelFormatError, \
-    RandomLayer, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
+    RandomLayer, _activate, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
     predict_scores, save_model, train
 from rvflkit.solver import solve_primal
 from rvflkit.weighting import WeightingConfig
-from conftest import fit_with_unit_scores, random_dataset
+from conftest import fit_with_unit_scores, masked_sigmoid, random_dataset
 
 WCFG = WeightingConfig(kernel=KernelParams(gamma=1.0))
 
@@ -60,6 +61,24 @@ class TestHiddenMatrix:
         layer = RandomLayer(np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ModelError):
             hidden_matrix(np.zeros((4, 3)), layer, "sigmoid")
+
+
+class TestSigmoid:
+    EDGES = np.array([0.0, 1.0, -1.0, 36.0, -36.0, 745.0, -745.0, 1e3, -1e3])
+
+    def test_matches_masked_reference(self, rng):
+        Z = np.concatenate([rng.normal(scale=8.0, size=2000), self.EDGES])
+        np.testing.assert_allclose(_activate(Z, "sigmoid"), masked_sigmoid(Z),
+                                   rtol=0, atol=2 * np.finfo(np.float64).eps)
+
+    def test_exactly_half_at_zero(self):
+        assert _activate(np.zeros(3), "sigmoid").tolist() == [0.5, 0.5, 0.5]
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _activate(self.EDGES.reshape(3, 3), "sigmoid")
+        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestDesignMatrix:
