@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from .data import DataError, load_csv
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
     grid_search
 from .kernel import KernelParams
-from .model import ModelConfig, ModelError, load_model, predict, save_model, train
+from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, ModelError, load_model, \
+    predict, save_model, train
 from .solver import SolverError
 from .stats import Q_ALPHA_05, StatsError, friedman, nemenyi_cd, nemenyi_table, \
     wilcoxon_signed_rank
@@ -45,44 +47,71 @@ def _load_overlay(path):
     return overlay
 
 
-def _resolve(args, overlay, key, default):
-    """Precedence: explicit flag > config-file entry > default."""
+_GRID_AXES = ("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid")
+# What each JSON setting must be, by its JSON type (a bool is never a number).
+_KINDS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "true or false": lambda v: type(v) is bool,
+    '"last" or an integer': lambda v: v == "last" or type(v) is int,
+    "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+}
+SETTING_TYPES = {
+    **dict.fromkeys(("hidden", "k", "seed"), "an integer"),
+    **dict.fromkeys(("gamma", "kernel_gamma", "tau", "delta", "delta_quantile"), "a number"),
+    **dict.fromkeys(("variant", "activation", "name", "path"), "a string"),
+    **dict.fromkeys(_GRID_AXES, "a list of numbers"),
+    "has_header": "true or false", "label_column": '"last" or an integer',
+    "models": "a list of strings",
+}
+
+
+def _resolve(args, overlay, key, default, source):
+    """Flag (typed by argparse) > JSON entry of its setting's kind > default; a JSON
+    number becomes a float, a list a tuple, and ``"delta": null`` means the default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in overlay:
-        return overlay[key]
-    return default
+    if key not in overlay or (key == "delta" and overlay[key] is None):
+        return default
+    value, kind = overlay[key], SETTING_TYPES[key]
+    if not _KINDS[kind](value):
+        raise DataError(f"{source}: \"{key}\" must be {kind}, got {json.dumps(value)}")
+    if kind == "a number":
+        return float(value)
+    return tuple(value) if type(value) is list else value
 
 
-def _model_config(args, overlay) -> ModelConfig:
-    variant = _resolve(args, overlay, "variant", None)
+def _model_config(args, overlay, source) -> ModelConfig:
+    setting = functools.partial(_resolve, args, overlay, source=source)
+    variant = setting("variant", None)
     if variant is None:
         raise UsageError("a model variant is required")
     weighting = None
-    if variant in ("r2vfl-a", "r2vfl-m"):
+    if variant in CENTER_SCHEMES:
         weighting = WeightingConfig(
-            kernel=KernelParams(gamma=float(_resolve(args, overlay, "kernel_gamma", 1.0))),
-            tau_multiplier=float(_resolve(args, overlay, "tau", 1.0)),
-            center_scheme="average" if variant == "r2vfl-a" else "median",
-            delta=_resolve(args, overlay, "delta", None),
-            delta_quantile=float(_resolve(args, overlay, "delta_quantile", 0.5)),
+            kernel=KernelParams(gamma=setting("kernel_gamma", 1.0)),
+            tau_multiplier=setting("tau", 1.0),
+            delta=setting("delta", None),
+            delta_quantile=setting("delta_quantile", 0.5),
         )
     return ModelConfig(
         variant=variant,
-        hidden_nodes=int(_resolve(args, overlay, "hidden", 103)),
-        gamma=float(_resolve(args, overlay, "gamma", 1.0)),
-        activation=_resolve(args, overlay, "activation", "sigmoid"),
-        seed=int(_resolve(args, overlay, "seed", 0)),
+        hidden_nodes=setting("hidden", 103),
+        gamma=setting("gamma", 1.0),
+        activation=setting("activation", "sigmoid"),
+        seed=setting("seed", 0),
         weighting=weighting,
     )
 
 
-def _load_dataset(args, overlay=None):
-    overlay = overlay or {}
-    return load_csv(args.data,
-                    has_header=bool(_resolve(args, overlay, "has_header", False)),
-                    label_column=_resolve(args, overlay, "label_column", "last"))
+def _load_dataset(args, overlay, source):
+    return load_csv(_resolve(args, overlay, "path", None, source),
+                    has_header=_resolve(args, overlay, "has_header", False, source),
+                    label_column=_resolve(args, overlay, "label_column", "last", source),
+                    name=_resolve(args, overlay, "name", None, source))
 
 
 def _read_table(path) -> BenchmarkTable:
@@ -126,8 +155,8 @@ def _emit(payload: dict, fmt: str):
 
 def cmd_train(args):
     overlay = _load_overlay(args.config)
-    dataset = _load_dataset(args, overlay)
-    config = _model_config(args, overlay)
+    dataset = _load_dataset(args, overlay, args.config)
+    config = _model_config(args, overlay, args.config)
     model = train(dataset, config)
     _, labels = predict(model, dataset.features)
     train_acc = accuracy(labels, dataset.labels)
@@ -144,7 +173,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, {}, None)
     _, labels = predict(model, dataset.features)
     names = [model.class_names[i] for i in labels]
     if args.format == "json":
@@ -157,11 +186,10 @@ def cmd_predict(args):
 
 def cmd_cv(args):
     overlay = _load_overlay(args.config)
-    dataset = _load_dataset(args, overlay)
-    config = _model_config(args, overlay)
-    k = int(_resolve(args, overlay, "k", 5))
-    seed = config.seed
-    result = cross_validate(dataset, config, k, seed)
+    dataset = _load_dataset(args, overlay, args.config)
+    config = _model_config(args, overlay, args.config)
+    k = _resolve(args, overlay, "k", 5, args.config)
+    result = cross_validate(dataset, config, k, config.seed)
     folds = [round(a, 4) for a in result.fold_accuracies]
     payload = {f"fold_{i}": a for i, a in enumerate(folds)}
     payload["mean"] = round(result.mean, 4)
@@ -171,30 +199,16 @@ def cmd_cv(args):
     return EXIT_OK
 
 
-def _grid_axes(overlay, source) -> dict:
-    """The grid axes a JSON object sets, as tuples; each must be a list of numbers."""
-    if not isinstance(overlay, dict):
+def _grid_spec(args, overlay, axes, source) -> GridSpec:
+    """The grid of ``grid`` and ``bench``: the axes from the JSON object ``axes``; k, seed
+    and the delta settings from flags or ``overlay``; GridSpec's defaults for the rest."""
+    if not isinstance(axes, dict):
         raise DataError(f"{source}: the grid must be a JSON object")
-    axes = {}
-    for key in ("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid"):
-        if key not in overlay:
-            continue
-        value = overlay[key]
-        if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            raise DataError(f"{source}: \"{key}\" must be a list of numbers")
-        axes[key] = tuple(value)
-    return axes
-
-
-def _grid_spec(args, overlay) -> GridSpec:
-    kwargs = _grid_axes(overlay, args.grid_file)
-    kwargs["k"] = int(_resolve(args, overlay, "k", 5))
-    kwargs["seed"] = int(_resolve(args, overlay, "seed", 0))
-    delta = _resolve(args, overlay, "delta", None)
-    if delta is not None:
-        kwargs["delta"] = float(delta)
-    return GridSpec(**kwargs)
+    spec = {}
+    for key in _GRID_AXES + ("k", "seed", "delta", "delta_quantile"):
+        entries = axes if key in _GRID_AXES else overlay
+        spec[key] = _resolve(args, entries, key, getattr(GridSpec, key), source)
+    return GridSpec(**spec)
 
 
 def _write_trace(path, result):
@@ -212,8 +226,8 @@ def _write_trace(path, result):
 
 def cmd_grid(args):
     overlay = _load_overlay(args.grid_file)
-    dataset = _load_dataset(args, overlay)
-    grid = _grid_spec(args, overlay)
+    dataset = _load_dataset(args, overlay, args.grid_file)
+    grid = _grid_spec(args, overlay, overlay, args.grid_file)
     result = grid_search(dataset, args.variant, grid, jobs=args.jobs)
     if args.out:
         _write_trace(args.out, result)
@@ -239,18 +253,12 @@ def cmd_bench(args):
                                                 for e in entries):
         raise DataError(f"manifest {args.manifest} needs a \"datasets\" list of objects "
                         "that each give a \"path\"")
-    models = args.models.split(",") if args.models else manifest.get(
-        "models", ["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
-    grid_kwargs = _grid_axes(manifest.get("grid", {}), args.manifest)
-    grid_kwargs["k"] = int(manifest.get("k", 5))
-    grid_kwargs["seed"] = int(manifest.get("seed", 0))
-    grid = GridSpec(**grid_kwargs)
+    models = _resolve(args, manifest, "models", VARIANTS, args.manifest)
+    grid = _grid_spec(args, manifest, manifest.get("grid", {}), args.manifest)
 
     dataset_names, rows = [], []
-    for entry in entries:
-        ds = load_csv(entry["path"], has_header=entry.get("has_header", False),
-                      label_column=entry.get("label_column", "last"),
-                      name=entry.get("name"))
+    for i, entry in enumerate(entries):
+        ds = _load_dataset(None, entry, f"{args.manifest}: dataset {i}")
         dataset_names.append(ds.name)
         row = [grid_search(ds, m, grid, jobs=args.jobs).best_mean for m in models]
         rows.append(row)
@@ -280,7 +288,7 @@ def _ranks_from_args(args):
         names, ranks = _read_ranks(args.ranks)
         if args.datasets is None:
             raise UsageError("--datasets is required with --ranks")
-        return names, ranks, int(args.datasets)
+        return names, ranks, args.datasets
     if args.table:
         table = _read_table(args.table)
         return list(table.model_names), average_ranks(table), len(table.dataset_names)
@@ -357,15 +365,16 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=["human", "csv", "json"], default="human")
 
     def add_data(p):
-        p.add_argument("--data", required=True, help="dataset CSV (label in last column)")
+        p.add_argument("--data", dest="path", required=True,
+                       help="dataset CSV (label in last column)")
         p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
         p.add_argument("--label-column", dest="label_column")
 
     def add_hyper(p):
-        p.add_argument("--variant", choices=["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
+        p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--hidden", type=int)
         p.add_argument("--gamma", type=float)
-        p.add_argument("--activation", choices=["sigmoid", "tanh", "relu"])
+        p.add_argument("--activation", choices=ACTIVATIONS)
         p.add_argument("--seed", type=int)
         p.add_argument("--kernel-gamma", dest="kernel_gamma", type=float)
         p.add_argument("--tau", type=float)
@@ -390,7 +399,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="exhaustive hyperparameter grid search")
     add_data(p); add_common(p)
-    p.add_argument("--variant", required=True, choices=["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--grid-file", dest="grid_file", help="JSON grid overrides")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the full trace CSV here")
@@ -401,7 +410,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="benchmark models across datasets from a manifest")
     add_common(p)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--models", help="comma-separated model list override")
+    p.add_argument("--models", type=lambda text: text.split(","),
+                   help="comma-separated model list override")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)

@@ -77,8 +77,6 @@ class NormalizationParams:
 @dataclass(frozen=True)
 class FoldAssignment:
     fold_of_sample: np.ndarray  # (l,) ints in 0..k-1
-    k: int
-    seed: int
 
     def train_test_indices(self, fold: int):
         mask = self.fold_of_sample == fold
@@ -191,4 +189,4 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
         for i, sample in enumerate(idx):
             fold[sample] = (offset + i) % k
         offset = (offset + len(idx)) % k
-    return FoldAssignment(fold, k, seed)
+    return FoldAssignment(fold)

@@ -22,7 +22,7 @@ import scipy.stats
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
 from .kernel import KernelParams, feature_space_distance_matrix, kernel_matrix
-from .model import ModelConfig, fit_output_weights, forward, init_random_layer
+from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
 from .weighting import WeightingConfig, resolve_delta, score_samples
 
@@ -51,11 +51,9 @@ class CVResult:
 
 @single_blas_thread()
 def cross_validate(dataset: Dataset, config: ModelConfig, k: int, seed: int,
-                   assignment: FoldAssignment | None = None,
                    config_index: int = 0) -> CVResult:
     """k-fold CV: normalization and weighting are fitted on the training folds only."""
-    if assignment is None:
-        assignment = stratified_k_fold(dataset, k, seed)
+    assignment = stratified_k_fold(dataset, k, seed)
     # one fold is built and released at a time: each holds l x l kernel matrices
     contexts = (_FoldContext(dataset, assignment, f) for f in range(k))
     accs, mean = _fold_accuracies(contexts, config, seed, config_index, k)
@@ -84,19 +82,16 @@ class GridSpec:
 
 def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
     """Deterministic iteration order: gamma, then hidden nodes, then kernel, then tau."""
-    robust = variant in ("r2vfl-a", "r2vfl-m")
-    scheme = "average" if variant == "r2vfl-a" else "median"
     configs = []
     for gamma in grid.gamma_grid:
         for hidden in grid.hidden_grid:
-            if not robust:
+            if variant not in CENTER_SCHEMES:
                 configs.append(ModelConfig(variant, hidden, gamma))
                 continue
             for kg in grid.kernel_grid:
                 for tau in grid.tau_grid:
                     w = WeightingConfig(kernel=KernelParams(gamma=kg), tau_multiplier=tau,
-                                        center_scheme=scheme, delta=grid.delta,
-                                        delta_quantile=grid.delta_quantile)
+                                        delta=grid.delta, delta_quantile=grid.delta_quantile)
                     configs.append(ModelConfig(variant, hidden, gamma, weighting=w))
     return configs
 
@@ -127,15 +122,17 @@ class _FoldContext:
             self._kernel_cache[key] = (K, dist, resolve_delta(dist, w))
         return self._kernel_cache[key]
 
-    def scores(self, w: WeightingConfig) -> np.ndarray:
-        if w not in self._score_cache:
+    def scores(self, config: ModelConfig) -> np.ndarray:
+        """Scores r of a robust config, cached on its weighting and center scheme."""
+        w, scheme = config.weighting, CENTER_SCHEMES[config.variant]
+        if (w, scheme) not in self._score_cache:
             K, dist, delta = self._kernel_entry(w)
-            self._score_cache[w] = score_samples(self.y_tr, K, dist, delta, w).r
-        return self._score_cache[w]
+            self._score_cache[w, scheme] = score_samples(self.y_tr, K, dist, delta, w, scheme).r
+        return self._score_cache[w, scheme]
 
     def evaluate(self, config: ModelConfig, seed: int) -> float:
         layer = init_random_layer(self.X_tr.shape[1], config.hidden_nodes, seed)
-        r = self.scores(config.resolved_weighting()) if config.robust else None
+        r = self.scores(config) if config.robust else None
         W2 = fit_output_weights(forward(self.X_tr, layer, config), self.Y_tr, r, config.gamma)
         labels = np.argmax(forward(self.X_te, layer, config) @ W2, axis=1)
         return accuracy(labels, self.y_te)

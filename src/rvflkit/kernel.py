@@ -16,11 +16,8 @@ class KernelParams:
     """RBF kernel K(x, y) = exp(-gamma * ||x - y||^2)."""
 
     gamma: float
-    kind: str = "rbf"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise KernelError(f"unsupported kernel kind {self.kind!r}")
         if not self.gamma > 0:
             raise KernelError("gamma must be positive")
 
@@ -47,10 +44,10 @@ def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def median_center(class_indices, K_class: np.ndarray) -> np.ndarray:
+def median_center(K_class: np.ndarray) -> np.ndarray:
     """Component-wise median over the class's kernel rows K(G_j, G_j)."""
     K_class = np.asarray(K_class, dtype=np.float64)
-    if len(class_indices) == 0 or K_class.shape[0] == 0:
+    if K_class.shape[0] == 0:
         raise KernelError("empty class")
     return np.median(K_class, axis=0)
 
@@ -59,7 +56,6 @@ def median_center(class_indices, K_class: np.ndarray) -> np.ndarray:
 class ClassGeometry:
     """Per-class radii and member distances for one center scheme, over a training kernel matrix."""
 
-    scheme: str                       # "average" | "median"
     class_indices: tuple              # tuple of index arrays, one per class
     radii: np.ndarray                 # (m,) max member distance to own center
     distances: np.ndarray             # (l,) distance of each sample to its own class center
@@ -89,8 +85,8 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
             sq = np.diag(K)[idx] - 2.0 / idx.size * block.sum(axis=1) + const
             d = np.sqrt(np.clip(sq, 0.0, None))
         else:
-            center = median_center(idx, block)
+            center = median_center(block)
             d = np.linalg.norm(block - center[None, :], axis=1)
         distances[idx] = d
         radii[j] = d.max()
-    return ClassGeometry(scheme, tuple(idx_lists), radii, distances)
+    return ClassGeometry(tuple(idx_lists), radii, distances)

@@ -11,7 +11,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -22,6 +22,9 @@ from .solver import solve_auto
 from .weighting import ContributionScores, WeightingConfig, compute_contribution_scores
 
 VARIANTS = ("rvfl", "elm", "r2vfl-a", "r2vfl-m")
+# The robust variants, and the class center each one scores samples against:
+# the kernel mean of the class (R2VFL-A) or its feature-wise median (R2VFL-M).
+CENTER_SCHEMES = {"r2vfl-a": "average", "r2vfl-m": "median"}
 ACTIVATIONS = ("sigmoid", "tanh", "relu")
 
 MODEL_MAGIC = b"RVFLKIT1"
@@ -54,8 +57,9 @@ class ModelConfig:
             raise ModelError("hidden_nodes must be an integer >= 1")
         if not self.gamma > 0:
             raise ModelError("gamma must be positive")
-        if self.variant in ("r2vfl-a", "r2vfl-m") and self.weighting is None:
-            raise ModelError(f"variant {self.variant!r} requires a weighting config")
+        if self.robust != (self.weighting is not None):
+            need = "requires a" if self.robust else "takes no"
+            raise ModelError(f"variant {self.variant!r} {need} weighting config")
 
     @property
     def direct_link(self) -> bool:
@@ -63,14 +67,7 @@ class ModelConfig:
 
     @property
     def robust(self) -> bool:
-        return self.variant in ("r2vfl-a", "r2vfl-m")
-
-    def resolved_weighting(self) -> WeightingConfig | None:
-        """Weighting config with the center scheme forced by the variant."""
-        if not self.robust:
-            return None
-        scheme = "average" if self.variant == "r2vfl-a" else "median"
-        return replace(self.weighting, center_scheme=scheme)
+        return self.variant in CENTER_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,8 @@ def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
     layer = init_random_layer(dataset.n_features, config.hidden_nodes, config.seed)
     scores = r = None
     if config.robust:
-        scores = compute_contribution_scores(Xn, dataset.labels, config.resolved_weighting())
+        scores = compute_contribution_scores(Xn, dataset.labels, config.weighting,
+                                             CENTER_SCHEMES[config.variant])
         r = scores.r
     Y = one_hot(dataset.labels, dataset.n_classes)
     W2 = fit_output_weights(forward(Xn, layer, config), Y, r, config.gamma)
@@ -208,7 +206,7 @@ def save_model(model: TrainedModel, path) -> None:
         header["weighting"] = {
             "kernel_gamma": w.kernel.gamma,
             "tau_multiplier": w.tau_multiplier,
-            "center_scheme": w.center_scheme,
+            "center_scheme": CENTER_SCHEMES[cfg.variant],
             "delta": w.delta,
             "delta_quantile": w.delta_quantile,
         }
@@ -261,10 +259,12 @@ def _parse_payload(payload: bytes) -> TrainedModel:
     weighting = None
     if header["weighting"] is not None:
         w = header["weighting"]
+        if w["center_scheme"] != CENTER_SCHEMES.get(header["variant"]):
+            raise ModelFormatError(f"center scheme {w['center_scheme']!r} does not match "
+                                   f"variant {header['variant']!r}")
         weighting = WeightingConfig(
             kernel=KernelParams(gamma=w["kernel_gamma"]),
             tau_multiplier=w["tau_multiplier"],
-            center_scheme=w["center_scheme"],
             delta=w["delta"],
             delta_quantile=w["delta_quantile"],
         )

@@ -3,6 +3,8 @@
 Every caller resolves delta with ``resolve_delta`` and scores with
 ``score_samples``; ``compute_contribution_scores`` builds the kernel and
 distance matrices for ``train``, the CV fold code passes its cached ones.
+Both take the class-center scheme from the caller, which reads it off the
+variant (``model.CENTER_SCHEMES``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class WeightingConfig:
 
     kernel: KernelParams
     tau_multiplier: float = 1.0
-    center_scheme: str = "average"  # "average" | "median"
     delta: float | None = None
     delta_quantile: float = 0.5
 
@@ -40,8 +41,6 @@ class WeightingConfig:
             raise WeightingError("delta quantile must lie in (0, 1)")
         if not 0 < self.tau_multiplier <= 1:
             raise WeightingError("tau multiplier must lie in (0, 1]")
-        if self.center_scheme not in ("average", "median"):
-            raise WeightingError(f"unknown center scheme {self.center_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -97,18 +96,17 @@ def contribution_scores(cp, m) -> ContributionScores:
 
 
 def score_samples(labels, K: np.ndarray, dist: np.ndarray, delta: float,
-                  config: WeightingConfig) -> ContributionScores:
-    """cp * Huber scores from a training kernel matrix and its distance matrix."""
+                  config: WeightingConfig, scheme: str) -> ContributionScores:
+    """cp * Huber scores from a training kernel matrix, its distance matrix and a center scheme."""
     cp = class_probability(labels, delta, dist)
-    geometry = build_class_geometry(labels, K, config.center_scheme)
+    geometry = build_class_geometry(labels, K, scheme)
     m = huber_weights(labels, geometry, config.tau_multiplier)
     return contribution_scores(cp, m)
 
 
 def compute_contribution_scores(features, labels, config: WeightingConfig,
-                                K: np.ndarray | None = None) -> ContributionScores:
+                                scheme: str) -> ContributionScores:
     """Full weighting pipeline on normalized training features."""
-    if K is None:
-        K = kernel_matrix(features, features, config.kernel)
+    K = kernel_matrix(features, features, config.kernel)
     dist = feature_space_distance_matrix(K)
-    return score_samples(labels, K, dist, resolve_delta(dist, config), config)
+    return score_samples(labels, K, dist, resolve_delta(dist, config), config, scheme)

@@ -161,11 +161,11 @@ def test_criterion_6_weight_invariants():
                             flip_fraction=float(rng.uniform(0.0, 0.3)))
         tau = float(rng.uniform(0.5, 1.0))
         cfg = WeightingConfig(kernel=KernelParams(gamma=float(rng.uniform(0.1, 4.0))),
-                              tau_multiplier=tau,
-                              center_scheme="average" if trial % 2 else "median")
+                              tau_multiplier=tau)
+        scheme = "average" if trial % 2 else "median"
         K = kernel_matrix(ds.features, ds.features, cfg.kernel)
-        geometry = build_class_geometry(ds.labels, K, cfg.center_scheme)
-        scores = compute_contribution_scores(ds.features, ds.labels, cfg, K=K)
+        geometry = build_class_geometry(ds.labels, K, scheme)
+        scores = compute_contribution_scores(ds.features, ds.labels, cfg, scheme)
         for arr in (scores.cp, scores.m, scores.r):
             assert np.all(arr > 0) and np.all(arr <= 1), trial
         for j in range(ds.n_classes):
@@ -206,6 +206,7 @@ def test_criterion_7_label_noise_robustness():
     assert degradation_robust < degradation_plain
 
 
+@pytest.mark.slow
 @_announce(8, "tic-tac-toe 5-fold grid search reaches 95% accuracy")
 def test_criterion_8_tic_tac_toe():
     ds = tic_tac_toe_dataset()

@@ -79,6 +79,20 @@ class TestCv:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    def test_config_entries_match_flags(self, toy_csv, tmp_path, capsys):
+        # JSON integers for number settings, "delta": null and the data settings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "r2vfl-m", "hidden": 13, "gamma": 100,
+                                   "kernel_gamma": 2, "tau": 1, "delta": None, "k": 3,
+                                   "seed": 7, "has_header": False, "label_column": "last"}))
+        code, from_file = run(capsys, "cv", "--data", str(toy_csv), "--config", str(cfg))
+        assert code == 0
+        code, from_flags = run(capsys, "cv", "--data", str(toy_csv), "--variant", "r2vfl-m",
+                               "--hidden", "13", "--gamma", "100", "--kernel-gamma", "2",
+                               "--tau", "1", "--k", "3", "--seed", "7")
+        assert code == 0
+        assert from_file == from_flags
+
     def test_csv_format(self, toy_csv, capsys):
         code, out = run(capsys, "cv", "--data", str(toy_csv), "--variant", "elm",
                         "--hidden", "5", "--gamma", "1", "--k", "2", "--format", "csv")
@@ -135,6 +149,45 @@ class TestBench:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
 
 
+@pytest.mark.parametrize("key, value, other", [("delta_quantile", 0.25, 0.5),
+                                                ("delta", 0.4, 0.8)])
+def test_grid_and_bench_read_delta_settings(tmp_path, capsys, key, value, other):
+    # noisy blobs on which both values of the setting give different CV means
+    ds = gaussian_blobs(15, seed=2, separation=2.0, flip_fraction=0.1)
+    data = tmp_path / "noisy.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for x, y in zip(ds.features, ds.labels):
+            writer.writerow(list(x) + [ds.class_names[y]])
+    settings = {"k": 2, "seed": 0}
+    means = {}
+    for v in (value, other):
+        cfg = tmp_path / f"cv_{v}.json"
+        cfg.write_text(json.dumps({"variant": "r2vfl-m", "hidden": 5, "gamma": 1.0,
+                                   "kernel_gamma": 1.0, "tau": 1.0, key: v, **settings}))
+        code, out = run(capsys, "cv", "--data", str(data), "--config", str(cfg),
+                        "--format", "json")
+        assert code == 0
+        means[v] = json.loads(out)["mean"]
+    assert means[value] != means[other]
+
+    axes = {"gamma_grid": [1.0], "hidden_grid": [5], "kernel_grid": [1.0], "tau_grid": [1.0]}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**axes, key: value, **settings}))
+    code, out = run(capsys, "grid", "--data", str(data), "--variant", "r2vfl-m",
+                    "--grid-file", str(grid), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mean_accuracy"] == means[value]
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": [{"path": str(data)}], "models": ["r2vfl-m"],
+                                    "grid": axes, key: value, **settings}))
+    code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "b" / "accuracy.csv").read_text().splitlines()))
+    assert float(rows[1][1]) == means[value]
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -156,6 +209,15 @@ def _write(path, text):
     ("short_rank_row_nemenyi", 2),
     ("short_rank_row_friedman", 2),
     ("ragged_table_row", 2),
+    ("cv_hidden_fraction", 2),
+    ("cv_k_fraction", 2),
+    ("cv_hidden_null", 2),
+    ("cv_delta_string", 2),
+    ("cv_kernel_gamma_list", 2),
+    ("cv_has_header_string", 2),
+    ("grid_k_list", 2),
+    ("manifest_models_string", 2),
+    ("manifest_has_header_integer", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -194,7 +256,25 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
                                     "--ranks", _write(tmp_path / "short_f.csv", "a,b,c\n1,2\n")],
         "ragged_table_row": ["stats", "friedman", "--table", _write(
             tmp_path / "ragged.csv", "dataset,a,b\nd1,80,90\nd2,70\nd3,60,65\n")],
-    }[case]
+        "grid_k_list": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                        _write(tmp_path / "k_list.json", '{"k": [2]}')],
+        "manifest_models_string": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "models_string.json", '{"datasets": [{"path": "%s"}], "models": "rvfl"}'
+            % data)],
+        "manifest_has_header_integer": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "header_int.json", '{"datasets": [{"path": "%s", "has_header": 1}]}'
+            % data)],
+    }.get(case)
+    cv_settings = {
+        "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
+        "cv_k_fraction": '{"variant": "rvfl", "k": 2.7}',
+        "cv_hidden_null": '{"variant": "rvfl", "hidden": null}',
+        "cv_delta_string": '{"variant": "r2vfl-a", "delta": "0.5"}',
+        "cv_kernel_gamma_list": '{"variant": "r2vfl-m", "kernel_gamma": [1]}',
+        "cv_has_header_string": '{"variant": "rvfl", "has_header": "false"}',
+    }
+    if case in cv_settings:
+        argv = ["cv", "--data", data, "--config", _write(tmp_path / "cfg.json", cv_settings[case])]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -205,7 +285,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "grid_hidden_not_integer": "hidden_nodes",
             "bench_grid_entry_not_a_list": '"gamma_grid"', "bench_grid_not_an_object": "grid",
             "short_rank_row_nemenyi": "rank row", "short_rank_row_friedman": "rank row",
-            "ragged_table_row": "'d2'"}.get(case, "") in err
+            "ragged_table_row": "'d2'", "cv_hidden_fraction": '"hidden"', "cv_k_fraction": '"k"',
+            "cv_hidden_null": '"hidden"', "cv_delta_string": '"delta"',
+            "cv_kernel_gamma_list": '"kernel_gamma"', "cv_has_header_string": '"has_header"',
+            "grid_k_list": '"k"', "manifest_models_string": '"models"',
+            "manifest_has_header_integer": '"has_header"'}.get(case, "") in err
 
 
 class TestStats:

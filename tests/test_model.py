@@ -160,6 +160,11 @@ class TestTrain:
         with pytest.raises(ModelError):
             ModelConfig("r2vfl-a", 5, 1.0)
 
+    def test_plain_variant_takes_no_weighting(self):
+        # the weighting of a plain variant would be a setting nothing reads
+        with pytest.raises(ModelError, match="takes no weighting"):
+            ModelConfig("rvfl", 5, 1.0, weighting=WCFG)
+
 
 class TestPredict:
     def test_argmax_and_tie_break(self):
@@ -223,7 +228,8 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(p)
 
-    @pytest.mark.parametrize("case", ["missing_keys", "header_length_past_end", "no_arrays"])
+    @pytest.mark.parametrize("case", ["missing_keys", "header_length_past_end", "no_arrays",
+                                      "center_scheme_of_other_variant"])
     def test_malformed_payload_with_valid_checksum(self, rng, tmp_path, case):
         _, model = self.make(rng)
         path = tmp_path / "m.rvfl"
@@ -233,6 +239,12 @@ class TestSerialization:
         header = payload[4:4 + hlen]
         if case == "missing_keys":
             header = json.dumps({"variant": "r2vfl-m"}).encode()
+            payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
+        elif case == "center_scheme_of_other_variant":
+            fields = json.loads(header)
+            assert fields["weighting"]["center_scheme"] == "median"
+            fields["weighting"]["center_scheme"] = "average"
+            header = json.dumps(fields, sort_keys=True).encode()
             payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
         elif case == "header_length_past_end":
             payload = struct.pack("<I", hlen + 100) + header

@@ -122,9 +122,9 @@ class TestResolveDelta:
 def test_score_ranges_property(seed, scheme, tau):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng)
-    cfg = WeightingConfig(kernel=KP, center_scheme=scheme, tau_multiplier=tau)
+    cfg = WeightingConfig(kernel=KP, tau_multiplier=tau)
     Xn = (ds.features - ds.features.min(0)) / np.maximum(np.ptp(ds.features, axis=0), 1e-12)
-    s = compute_contribution_scores(Xn, ds.labels, cfg)
+    s = compute_contribution_scores(Xn, ds.labels, cfg, scheme)
     for v in (s.cp, s.m, s.r):
         assert np.all(v > 0) and np.all(v <= 1.0 + 1e-12)
 
@@ -134,8 +134,9 @@ def test_clean_central_sample_gets_full_score():
     X = np.vstack([np.zeros((5, 2)), [[10.0, 10.0]]])
     y = np.array([0] * 5 + [1])
     cfg = WeightingConfig(kernel=KP, delta=0.1)
-    s = compute_contribution_scores(X, y, cfg)
-    np.testing.assert_allclose(s.r[:5], 1.0)
+    for scheme in ("average", "median"):
+        s = compute_contribution_scores(X, y, cfg, scheme)
+        np.testing.assert_allclose(s.r[:5], 1.0)
 
 
 @pytest.mark.parametrize("variant", ["r2vfl-a", "r2vfl-m"])
