@@ -2,8 +2,13 @@
 
 ``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
 caches one fold's kernel, distances, delta and scores, and its ``evaluate``
-fits one config with ``model.forward``/``model.fit_output_weights``. So
-``cross_validate(..., config_index=i)`` reproduces grid cell ``i`` exactly.
+fits a group of configs with ``model.forward``/``model.fit_output_weights``.
+The grid is a shared ridge path: per fold, configs with the same hidden-node
+count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
+and its activations, those that also share a weighting share one Gram matrix,
+and each ridge gamma costs one factorization. Every cell still equals the
+fit of its config alone, bit for bit, so ``cross_validate(dataset, config, k,
+seed)`` reproduces the grid cell of ``config``.
 
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
@@ -36,9 +41,10 @@ def accuracy(pred, truth) -> float:
     return 100.0 * float(np.mean(pred == truth))
 
 
-def fold_seed(master_seed: int, config_index: int, fold: int) -> int:
-    """Deterministic per-(config, fold) seed, stable across execution orders."""
-    ss = np.random.SeedSequence(entropy=(int(master_seed), int(config_index), int(fold)))
+def fold_seed(master_seed: int, hidden_nodes: int, fold: int) -> int:
+    """Seed of the random layer with ``hidden_nodes`` nodes in fold ``fold``; every config
+    with that node count shares it, whatever the execution order."""
+    ss = np.random.SeedSequence(entropy=(int(master_seed), int(hidden_nodes), int(fold)))
     return int(ss.generate_state(1)[0])
 
 
@@ -50,13 +56,9 @@ class CVResult:
 
 
 @single_blas_thread()
-def cross_validate(dataset: Dataset, config: ModelConfig, k: int, seed: int,
-                   config_index: int = 0) -> CVResult:
+def cross_validate(dataset: Dataset, config: ModelConfig, k: int, seed: int) -> CVResult:
     """k-fold CV: normalization and weighting are fitted on the training folds only."""
-    assignment = stratified_k_fold(dataset, k, seed)
-    # one fold is built and released at a time: each holds l x l kernel matrices
-    contexts = (_FoldContext(dataset, assignment, f) for f in range(k))
-    accs, mean = _fold_accuracies(contexts, config, seed, config_index, k)
+    (accs,), (mean,) = _fold_accuracies(dataset, [config], k, seed)
     skipped = tuple(int(f) for f in np.flatnonzero(np.isnan(accs)))
     return CVResult(accs, mean, skipped)
 
@@ -78,6 +80,8 @@ class GridSpec:
         for g in (self.gamma_grid, self.hidden_grid, self.kernel_grid, self.tau_grid):
             if len(g) == 0:
                 raise ValueError("grids must be nonempty")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
@@ -100,7 +104,6 @@ class _FoldContext:
     """One fold's normalized arrays plus kernel and score caches shared across configs."""
 
     def __init__(self, dataset: Dataset, assignment: FoldAssignment, f: int):
-        self.fold = f
         tr_idx, te_idx = assignment.train_test_indices(f)
         self.ok = np.unique(dataset.labels[tr_idx]).size == dataset.n_classes
         if not self.ok:
@@ -130,36 +133,63 @@ class _FoldContext:
             self._score_cache[w, scheme] = score_samples(self.y_tr, K, dist, delta, w, scheme).r
         return self._score_cache[w, scheme]
 
-    def evaluate(self, config: ModelConfig, seed: int) -> float:
-        layer = init_random_layer(self.X_tr.shape[1], config.hidden_nodes, seed)
-        r = self.scores(config) if config.robust else None
-        W2 = fit_output_weights(forward(self.X_tr, layer, config), self.Y_tr, r, config.gamma)
-        labels = np.argmax(forward(self.X_te, layer, config) @ W2, axis=1)
-        return accuracy(labels, self.y_te)
+    def evaluate(self, configs, seed: int) -> list[float]:
+        """Test accuracy of each config. The configs differ only in ridge gamma and
+        weighting, so they share the random layer drawn from ``seed`` and its
+        activations; configs with the same weighting share one Gram matrix."""
+        first = configs[0]
+        layer = init_random_layer(self.X_tr.shape[1], first.hidden_nodes, seed)
+        design_tr = forward(self.X_tr, layer, first)
+        design_te = forward(self.X_te, layer, first)
+        by_weighting: dict = {}
+        for i, config in enumerate(configs):
+            by_weighting.setdefault(config.weighting, []).append(i)
+        accs = [0.0] * len(configs)
+        for idx in by_weighting.values():
+            r = self.scores(configs[idx[0]]) if first.robust else None
+            W2s = fit_output_weights(design_tr, self.Y_tr, r, [configs[i].gamma for i in idx])
+            for i, W2 in zip(idx, W2s):
+                accs[i] = accuracy(np.argmax(design_te @ W2, axis=1), self.y_te)
+        return accs
 
 
-def _fold_accuracies(contexts, config: ModelConfig, seed: int, config_index: int, k: int):
-    """Per-fold accuracies (NaN for skipped folds) and their mean for one config."""
-    accs = np.full(k, np.nan)
-    for ctx in contexts:
+def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
+    """Per-fold accuracies (rows of NaN for skipped folds) and their means, one per config.
+
+    Configs must share the variant and activation. One fold is built and released
+    at a time: each holds l x l kernel matrices.
+    """
+    assignment = stratified_k_fold(dataset, k, seed)
+    by_hidden: dict = {}
+    for i, config in enumerate(configs):
+        by_hidden.setdefault(config.hidden_nodes, []).append(i)
+    accs = np.full((len(configs), k), np.nan)
+    for f in range(k):
+        ctx = _FoldContext(dataset, assignment, f)
         if ctx.ok:
-            accs[ctx.fold] = ctx.evaluate(config, fold_seed(seed, config_index, ctx.fold))
-    valid = accs[~np.isnan(accs)]
-    if valid.size == 0:
+            for hidden, idx in by_hidden.items():
+                accs[idx, f] = ctx.evaluate([configs[i] for i in idx], fold_seed(seed, hidden, f))
+    valid = [row[~np.isnan(row)] for row in accs]
+    if valid[0].size == 0:
         raise DataError("every fold was skipped; dataset too small for this split")
-    return accs, float(valid.mean())
+    return accs, [float(v.mean()) for v in valid]
 
 
 @single_blas_thread()
 def _evaluate_chunk(dataset, variant, grid, indices):
     configs = enumerate_configs(variant, grid)
-    assignment = stratified_k_fold(dataset, grid.k, grid.seed)
-    contexts = [_FoldContext(dataset, assignment, f) for f in range(grid.k)]
-    out = []
-    for ci in indices:
-        accs, mean = _fold_accuracies(contexts, configs[ci], grid.seed, ci, grid.k)
-        out.append((ci, mean, accs))
-    return out
+    accs, means = _fold_accuracies(dataset, [configs[ci] for ci in indices], grid.k, grid.seed)
+    return list(zip(indices, means, accs))
+
+
+def _shared_groups(configs) -> list[list[int]]:
+    """Config indices grouped by (weighting, hidden nodes), weighting-major. A group
+    shares a random layer and a Gram matrix per fold; neighbouring groups share the
+    fold's kernel and score caches."""
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(config.weighting, {}).setdefault(config.hidden_nodes, []).append(i)
+    return [idx for by_hidden in groups.values() for idx in by_hidden.values()]
 
 
 @dataclass(frozen=True)
@@ -176,16 +206,18 @@ def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
     Results are independent of the worker count.
     """
     configs = enumerate_configs(variant, grid)
-    indices = list(range(len(configs)))
-    if jobs <= 1 or len(configs) == 1:
-        results = _evaluate_chunk(dataset, variant, grid, indices)
+    groups = _shared_groups(configs)
+    n = min(jobs, len(groups))
+    if n <= 1:
+        results = _evaluate_chunk(dataset, variant, grid, range(len(configs)))
     else:
-        chunks = [indices[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        # each worker takes a contiguous run of whole groups
+        chunks = [sum(groups[j * len(groups) // n:(j + 1) * len(groups) // n], [])
+                  for j in range(n)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
             futures = [pool.submit(_evaluate_chunk, dataset, variant, grid, c) for c in chunks]
-            results = [item for fut in futures for item in fut.result()]
-        results.sort(key=lambda t: t[0])
+            results = sorted((item for fut in futures for item in fut.result()),
+                             key=lambda t: t[0])
     trace = tuple((configs[ci], mean, accs) for ci, mean, accs in results)
     best_i = max(range(len(trace)), key=lambda i: (trace[i][1], -i))
     return GridSearchResult(trace[best_i][0], trace[best_i][1], trace)

@@ -18,8 +18,8 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise KernelError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise KernelError(f"kernel gamma must be positive and finite, got {self.gamma!r}")
 
 
 def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,8 +56,12 @@ class ModelConfig:
             raise ModelError(f"unknown activation {self.activation!r}")
         if not isinstance(self.hidden_nodes, (int, np.integer)) or self.hidden_nodes < 1:
             raise ModelError("hidden_nodes must be an integer >= 1")
-        if not self.gamma > 0:
-            raise ModelError("gamma must be positive")
+        # 1/gamma is the ridge term: gamma = inf drops it, a subnormal gamma overflows it
+        if not (0 < self.gamma < math.inf and 1.0 / self.gamma < math.inf):
+            raise ModelError(f"gamma must be positive and finite, with a finite 1/gamma; "
+                             f"got {self.gamma!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ModelError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.robust != (self.weighting is not None):
             need = "requires a" if self.robust else "takes no"
             raise ModelError(f"variant {self.variant!r} {need} weighting config")
@@ -118,12 +123,14 @@ def forward(Xn: np.ndarray, layer: RandomLayer, config: ModelConfig) -> np.ndarr
 
 
 def fit_output_weights(design: np.ndarray, Y: np.ndarray, r: np.ndarray | None,
-                       gamma: float) -> np.ndarray:
-    """Ridge output weights; per-sample scores r scale the rows of design and targets."""
+                       gammas) -> list[np.ndarray]:
+    """Ridge output weights, one per ridge gamma; per-sample scores r scale the rows of
+    design and targets. The gammas share one Gram matrix, and each W equals the one a
+    single-gamma call would give."""
     if r is not None:
         design = r[:, None] * design
         Y = r[:, None] * Y
-    return solve_auto(design, Y, gamma)
+    return solve_auto(design, Y, gammas)
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,7 @@ def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
                                              CENTER_SCHEMES[config.variant])
         r = scores.r
     Y = one_hot(dataset.labels, dataset.n_classes)
-    W2 = fit_output_weights(forward(Xn, layer, config), Y, r, config.gamma)
+    (W2,) = fit_output_weights(forward(Xn, layer, config), Y, r, (config.gamma,))
     return TrainedModel(layer, W2, norm, config, dataset.class_names, scores)
 
 

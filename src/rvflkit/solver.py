@@ -1,5 +1,8 @@
 """Closed-form ridge solves in primal and dual form with the dimension-based switch.
 
+Each solve takes a sequence of ridge gammas: the Gram matrix is formed once and
+factorized once per gamma, which gives every gamma the result of a solve of its own.
+
 ``single_blas_thread`` runs a block with one OpenBLAS thread. The CV and grid
 fold code fits thousands of small ridge problems (a few hundred columns), on
 which a multithreaded ``D.T @ D`` and Cholesky are many times slower than a
@@ -75,31 +78,39 @@ def _spd_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverError(f"factorization failed (condition number ~{cond:.3e})") from exc
 
 
-def solve_primal(design, targets, gamma: float) -> np.ndarray:
-    """W = (D^t D + I/gamma)^-1 D^t Y, solved by factorization (no explicit inverse)."""
+def _check_gammas(gammas) -> tuple:
+    gammas = tuple(gammas)
+    if not gammas or not all(g > 0 for g in gammas):
+        raise SolverError("need one or more gammas, each positive")
+    return gammas
+
+
+def solve_primal(design, targets, gammas) -> list[np.ndarray]:
+    """W = (D^t D + I/gamma)^-1 D^t Y per gamma: D^t D and D^t Y are formed once,
+    then one factorization (no explicit inverse) per gamma."""
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
-    if not gamma > 0:
-        raise SolverError("gamma must be positive")
+    gammas = _check_gammas(gammas)
     d = D.shape[1]
-    G = D.T @ D + np.eye(d) / gamma
-    return _spd_solve(G, D.T @ Y)
+    G, rhs = D.T @ D, D.T @ Y
+    return [_spd_solve(G + np.eye(d) / g, rhs) for g in gammas]
 
 
-def solve_dual(design, targets, gamma: float) -> np.ndarray:
-    """W = D^t (D D^t + I/gamma)^-1 Y; preferable when rows < columns."""
+def solve_dual(design, targets, gammas) -> list[np.ndarray]:
+    """W = D^t (D D^t + I/gamma)^-1 Y per gamma, D D^t formed once; preferable when
+    rows < columns."""
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
-    if not gamma > 0:
-        raise SolverError("gamma must be positive")
+    gammas = _check_gammas(gammas)
     l = D.shape[0]
-    G = D @ D.T + np.eye(l) / gamma
-    return D.T @ _spd_solve(G, Y)
+    G = D @ D.T
+    return [D.T @ _spd_solve(G + np.eye(l) / g, Y) for g in gammas]
 
 
-def solve_auto(design, targets, gamma: float) -> np.ndarray:
-    """Primal when columns <= rows, dual otherwise (tie goes to primal)."""
+def solve_auto(design, targets, gammas) -> list[np.ndarray]:
+    """One W per ridge gamma: primal when columns <= rows, dual otherwise (tie goes to
+    primal)."""
     D = np.asarray(design, dtype=np.float64)
     if D.shape[1] <= D.shape[0]:
-        return solve_primal(D, targets, gamma)
-    return solve_dual(D, targets, gamma)
+        return solve_primal(D, targets, gammas)
+    return solve_dual(D, targets, gammas)

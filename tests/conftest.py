@@ -26,8 +26,8 @@ def fit_with_unit_scores(ds, config):
     norm = fit_normalization(ds.features)
     Xn = apply_normalization(ds.features, norm)
     layer = init_random_layer(ds.n_features, config.hidden_nodes, config.seed)
-    W2 = fit_output_weights(forward(Xn, layer, config), one_hot(ds.labels, ds.n_classes),
-                            np.ones(ds.n_samples), config.gamma)
+    (W2,) = fit_output_weights(forward(Xn, layer, config), one_hot(ds.labels, ds.n_classes),
+                               np.ones(ds.n_samples), (config.gamma,))
     return TrainedModel(layer, W2, norm, config, ds.class_names)
 
 

@@ -117,10 +117,10 @@ def test_criterion_4_solver():
         gamma = gammas[i % 3]
         D = rng.normal(size=(l, d))
         Y = rng.normal(size=(l, 2))
-        Wp = solve_primal(D, Y, gamma)
-        Wd = solve_dual(D, Y, gamma)
+        Wp = solve_primal(D, Y, [gamma])[0]
+        Wd = solve_dual(D, Y, [gamma])[0]
         assert np.linalg.norm(Wp - Wd) <= 1e-8 * (1 + np.linalg.norm(Wp))
-        W = solve_auto(D, Y, gamma)
+        W = solve_auto(D, Y, [gamma])[0]
         G = D.T @ D + np.eye(d) / gamma
         rhs = D.T @ Y
         assert np.linalg.norm(G @ W - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
@@ -128,7 +128,7 @@ def test_criterion_4_solver():
         D = rng.normal(size=(int(rng.integers(3, 10)), int(rng.integers(2, 8))))
         Y = rng.normal(size=(D.shape[0], 3))
         oracle = np.linalg.solve(D.T @ D + np.eye(D.shape[1]) / 7.0, D.T @ Y)
-        np.testing.assert_allclose(solve_auto(D, Y, 7.0), oracle, atol=1e-8)
+        np.testing.assert_allclose(solve_auto(D, Y, [7.0])[0], oracle, atol=1e-8)
     assert time.perf_counter() - start <= 1.0
 
 

@@ -218,6 +218,12 @@ def _write(path, text):
     ("grid_k_list", 2),
     ("manifest_models_string", 2),
     ("manifest_has_header_integer", 2),
+    ("cv_seed_negative", 2),
+    ("grid_seed_negative", 2),
+    ("cv_gamma_inf", 2),
+    ("cv_gamma_overflows_reciprocal", 2),
+    ("cv_config_gamma_overflow", 2),
+    ("cv_kernel_gamma_inf", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -264,6 +270,14 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
         "manifest_has_header_integer": ["bench", "--out", out, "--manifest", _write(
             tmp_path / "header_int.json", '{"datasets": [{"path": "%s", "has_header": 1}]}'
             % data)],
+        "cv_seed_negative": ["cv", "--data", data, "--variant", "rvfl", "--seed", "-1"],
+        "grid_seed_negative": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                               _write(tmp_path / "seed.json", '{"seed": -1}')],
+        "cv_gamma_inf": ["cv", "--data", data, "--variant", "rvfl", "--gamma", "inf"],
+        "cv_gamma_overflows_reciprocal": ["cv", "--data", data, "--variant", "rvfl",
+                                          "--gamma", "1e-320"],
+        "cv_kernel_gamma_inf": ["cv", "--data", data, "--variant", "r2vfl-m",
+                                "--kernel-gamma", "inf"],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -272,6 +286,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
         "cv_delta_string": '{"variant": "r2vfl-a", "delta": "0.5"}',
         "cv_kernel_gamma_list": '{"variant": "r2vfl-m", "kernel_gamma": [1]}',
         "cv_has_header_string": '{"variant": "rvfl", "has_header": "false"}',
+        "cv_config_gamma_overflow": '{"variant": "rvfl", "gamma": 1e400}',
     }
     if case in cv_settings:
         argv = ["cv", "--data", data, "--config", _write(tmp_path / "cfg.json", cv_settings[case])]
@@ -289,7 +304,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "cv_hidden_null": '"hidden"', "cv_delta_string": '"delta"',
             "cv_kernel_gamma_list": '"kernel_gamma"', "cv_has_header_string": '"has_header"',
             "grid_k_list": '"k"', "manifest_models_string": '"models"',
-            "manifest_has_header_integer": '"has_header"'}.get(case, "") in err
+            "manifest_has_header_integer": '"has_header"', "cv_seed_negative": "seed",
+            "grid_seed_negative": "seed", "cv_gamma_inf": "error: gamma",
+            "cv_gamma_overflows_reciprocal": "error: gamma",
+            "cv_config_gamma_overflow": "error: gamma",
+            "cv_kernel_gamma_inf": "kernel gamma"}.get(case, "") in err
 
 
 class TestStats:

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rvflkit.evaluate
 import rvflkit.model
-from rvflkit.data import Dataset
+import rvflkit.solver
+from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot, \
+    stratified_k_fold
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
-    enumerate_configs, grid_search
+    enumerate_configs, fold_seed, grid_search
 from rvflkit.kernel import KernelParams
-from rvflkit.model import ModelConfig, train
-from rvflkit.weighting import WeightingConfig
+from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
+    init_random_layer, train
+from rvflkit.weighting import WeightingConfig, compute_contribution_scores
 from conftest import random_dataset
 
 
@@ -96,11 +100,13 @@ class TestGridSearch:
         assert res.best_config is res.trace[0][0]
 
     def test_parallel_matches_serial(self, rng):
+        # four (hidden nodes, weighting) groups over three workers: two, one and one
         ds = random_dataset(rng, n_samples=22, n_classes=2)
-        grid = GridSpec(gamma_grid=(0.1, 10.0), hidden_grid=(3, 9), kernel_grid=(1.0,),
+        grid = GridSpec(gamma_grid=(0.1, 10.0), hidden_grid=(3, 9), kernel_grid=(0.5, 1.0),
                         tau_grid=(0.75,), k=3, seed=2)
         serial = grid_search(ds, "r2vfl-m", grid, jobs=1)
         parallel = grid_search(ds, "r2vfl-m", grid, jobs=3)
+        assert len(serial.trace) == len(parallel.trace) == 8
         for (c1, m1, a1), (c2, m2, a2) in zip(serial.trace, parallel.trace):
             assert c1 == c2 and m1 == m2
             np.testing.assert_array_equal(a1, a2)
@@ -112,10 +118,105 @@ class TestGridSearch:
                         tau_grid=(0.75, 1.0), k=3, seed=11)
         res = grid_search(ds, "r2vfl-a", grid)
         configs = enumerate_configs("r2vfl-a", grid)
-        for ci in (0, 1, 3):
-            ref = cross_validate(ds, configs[ci], grid.k, grid.seed, config_index=ci)
+        for ci, config in enumerate(configs):
+            ref = cross_validate(ds, config, grid.k, grid.seed)
             np.testing.assert_array_equal(res.trace[ci][2], ref.fold_accuracies)
             assert res.trace[ci][1] == ref.mean
+
+
+def per_config_fold_accuracies(ds, config, k, seed):
+    """Oracle: each fold fitted for this config alone, with the layer drawn from
+    fold_seed(seed, hidden nodes, fold) and a one-gamma ridge fit."""
+    assignment = stratified_k_fold(ds, k, seed)
+    accs = []
+    for f in range(k):
+        tr, te = assignment.train_test_indices(f)
+        if np.unique(ds.labels[tr]).size < ds.n_classes:
+            accs.append(np.nan)
+            continue
+        norm = fit_normalization(ds.features[tr])
+        X_tr = apply_normalization(ds.features[tr], norm)
+        X_te = apply_normalization(ds.features[te], norm)
+        layer = init_random_layer(ds.n_features, config.hidden_nodes,
+                                  fold_seed(seed, config.hidden_nodes, f))
+        r = None
+        if config.robust:
+            r = compute_contribution_scores(X_tr, ds.labels[tr], config.weighting,
+                                            CENTER_SCHEMES[config.variant]).r
+        (W2,) = fit_output_weights(forward(X_tr, layer, config),
+                                   one_hot(ds.labels[tr], ds.n_classes), r, (config.gamma,))
+        accs.append(accuracy(np.argmax(forward(X_te, layer, config) @ W2, axis=1), ds.labels[te]))
+    return np.array(accs)
+
+
+class TestSharedRidgePath:
+    """The grid shares layers, Gram matrices and fold caches; every cell still equals
+    the fit of its config alone."""
+
+    GRID = GridSpec(gamma_grid=(1e-3, 1.0, 1e3), hidden_grid=(3, 9), kernel_grid=(0.5, 2.0),
+                    tau_grid=(0.75, 1.0), k=3, seed=6)
+
+    def assert_cells_match_oracle(self, ds, variant, grid, jobs=1):
+        res = grid_search(ds, variant, grid, jobs=jobs)
+        for config, mean, accs in res.trace:
+            expected = per_config_fold_accuracies(ds, config, grid.k, grid.seed)
+            np.testing.assert_array_equal(accs, expected)
+            assert mean == np.mean(expected[~np.isnan(expected)])
+
+    @pytest.mark.parametrize("variant", ["r2vfl-m", "rvfl"])
+    def test_cells_equal_per_config_fits(self, rng, variant):
+        self.assert_cells_match_oracle(random_dataset(rng, n_samples=30, n_features=3),
+                                       variant, self.GRID)
+
+    @pytest.mark.parametrize("variant", ["r2vfl-a", "elm"])
+    def test_dual_cells_equal_per_config_fits(self, rng, variant):
+        # 2 folds of 16 rows: 13 hidden nodes plus 3 features exceed the 8 training rows
+        ds = random_dataset(rng, n_samples=16, n_features=3, n_classes=2)
+        grid = GridSpec(gamma_grid=(1e-2, 1.0, 1e4), hidden_grid=(2, 13), kernel_grid=(1.0,),
+                        tau_grid=(0.5, 1.0), k=2, seed=3)
+        self.assert_cells_match_oracle(ds, variant, grid, jobs=2)
+
+    def test_one_layer_per_hidden_count_one_gram_per_weighting(self, rng, monkeypatch):
+        calls = {"layer": 0, "gram": 0, "factorization": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rvflkit.evaluate, "init_random_layer",
+                            counting("layer", rvflkit.evaluate.init_random_layer))
+        for name in ("solve_primal", "solve_dual"):
+            monkeypatch.setattr(rvflkit.solver, name, counting("gram", getattr(rvflkit.solver, name)))
+        monkeypatch.setattr(rvflkit.solver, "_spd_solve",
+                            counting("factorization", rvflkit.solver._spd_solve))
+        ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
+        grid = self.GRID
+        res = grid_search(ds, "r2vfl-m", grid, jobs=1)
+        assert not any(np.isnan(accs).any() for _, _, accs in res.trace)
+        weightings = len(grid.kernel_grid) * len(grid.tau_grid)
+        assert calls["layer"] == len(grid.hidden_grid) * grid.k
+        assert calls["gram"] == len(grid.hidden_grid) * weightings * grid.k
+        assert calls["factorization"] == len(res.trace) * grid.k
+
+    def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("forced failure")
+
+        lu_calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting_lu(*args, **kwargs):
+            lu_calls.append(1)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
+        ds = random_dataset(rng, n_samples=30, n_features=3)
+        self.assert_cells_match_oracle(ds, "r2vfl-m", self.GRID)
+        # one LU factorization per (config, fold), in the grid and in the oracle alike
+        assert len(lu_calls) == 2 * len(enumerate_configs("r2vfl-m", self.GRID)) * self.GRID.k
 
 
 class TestSingleBlasThread:

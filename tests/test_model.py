@@ -151,9 +151,9 @@ class TestTrain:
         Y = rng.normal(size=(8, 2))
         r = np.ones(8)
         r[3] = 0.0
-        W_zeroed = solve_primal(r[:, None] * D, r[:, None] * Y, 10.0)
+        W_zeroed = solve_primal(r[:, None] * D, r[:, None] * Y, [10.0])[0]
         keep = np.arange(8) != 3
-        W_deleted = solve_primal(D[keep], Y[keep], 10.0)
+        W_deleted = solve_primal(D[keep], Y[keep], [10.0])[0]
         np.testing.assert_allclose(W_zeroed, W_deleted, atol=1e-12)
 
     def test_robust_variant_requires_weighting(self):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from rvflkit.solver import SolverError, solve_auto, solve_dual, solve_primal
+from rvflkit.solver import SolverError, _spd_solve, solve_auto, solve_dual, solve_primal
 
 
 def oracle(D, Y, gamma):
@@ -14,37 +14,38 @@ def oracle(D, Y, gamma):
 
 class TestPrimal:
     def test_identity_case(self):
-        W = solve_primal(np.eye(2), np.eye(2), 1.0)
+        W = solve_primal(np.eye(2), np.eye(2), [1.0])[0]
         np.testing.assert_allclose(W, 0.5 * np.eye(2))
 
     def test_vanishing_regularization(self):
-        W = solve_primal(np.eye(2), np.eye(2), 1e12)
+        W = solve_primal(np.eye(2), np.eye(2), [1e12])[0]
         np.testing.assert_allclose(W, np.eye(2), atol=1e-10)
 
     def test_against_dense_oracle(self, rng):
         D = rng.normal(size=(6, 3))
         Y = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(solve_primal(D, Y, 10.0), oracle(D, Y, 10.0), atol=1e-9)
+        np.testing.assert_allclose(solve_primal(D, Y, [10.0])[0], oracle(D, Y, 10.0), atol=1e-9)
 
     def test_gamma_validation(self):
-        with pytest.raises(SolverError):
-            solve_primal(np.eye(2), np.eye(2), 0.0)
+        for gammas in ([0.0], [], [1.0, -1.0], [np.nan]):
+            with pytest.raises(SolverError):
+                solve_primal(np.eye(2), np.eye(2), gammas)
 
 
 class TestDual:
     def test_identity_case(self):
-        np.testing.assert_allclose(solve_dual(np.eye(2), np.eye(2), 1.0), 0.5 * np.eye(2))
+        np.testing.assert_allclose(solve_dual(np.eye(2), np.eye(2), [1.0])[0], 0.5 * np.eye(2))
 
     def test_wide_shape(self, rng):
         D = rng.normal(size=(2, 5))
         Y = rng.normal(size=(2, 3))
-        assert solve_dual(D, Y, 1.0).shape == (5, 3)
+        assert solve_dual(D, Y, [1.0])[0].shape == (5, 3)
 
     def test_agrees_with_primal(self, rng):
         D = rng.normal(size=(7, 4))
         Y = rng.normal(size=(7, 2))
-        Wp = solve_primal(D, Y, 5.0)
-        Wd = solve_dual(D, Y, 5.0)
+        Wp = solve_primal(D, Y, [5.0])[0]
+        Wd = solve_dual(D, Y, [5.0])[0]
         assert np.linalg.norm(Wp - Wd) <= 1e-8 * (1 + np.linalg.norm(Wp))
 
 
@@ -52,17 +53,33 @@ class TestAuto:
     def test_tall_uses_primal(self, rng):
         D = rng.normal(size=(10, 3))
         Y = rng.normal(size=(10, 2))
-        np.testing.assert_array_equal(solve_auto(D, Y, 1.0), solve_primal(D, Y, 1.0))
+        np.testing.assert_array_equal(solve_auto(D, Y, [1.0])[0], solve_primal(D, Y, [1.0])[0])
 
     def test_wide_uses_dual(self, rng):
         D = rng.normal(size=(3, 10))
         Y = rng.normal(size=(3, 2))
-        np.testing.assert_array_equal(solve_auto(D, Y, 1.0), solve_dual(D, Y, 1.0))
+        np.testing.assert_array_equal(solve_auto(D, Y, [1.0])[0], solve_dual(D, Y, [1.0])[0])
 
     def test_square_ties_to_primal(self, rng):
         D = rng.normal(size=(4, 4))
         Y = rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(solve_auto(D, Y, 1.0), solve_primal(D, Y, 1.0))
+        np.testing.assert_array_equal(solve_auto(D, Y, [1.0])[0], solve_primal(D, Y, [1.0])[0])
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+def test_gamma_path_matches_one_solve_per_gamma(rng, shape):
+    # one Gram matrix shared by all gammas gives each gamma's single-solve result bit for bit
+    D = rng.normal(size=shape)
+    Y = rng.normal(size=(shape[0], 2))
+    gammas = (1e-5, 0.1, 1.0, 1e3, 1e5)
+    l, d = shape
+    for solve in (solve_primal, solve_dual, solve_auto):
+        for g, W in zip(gammas, solve(D, Y, gammas), strict=True):
+            if solve is solve_primal or (solve is solve_auto and d <= l):
+                single = _spd_solve(D.T @ D + np.eye(d) / g, D.T @ Y)
+            else:
+                single = D.T @ _spd_solve(D @ D.T + np.eye(l) / g, Y)
+            np.testing.assert_array_equal(W, single)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,8 +89,8 @@ def test_primal_dual_equivalence_property(seed, gamma):
     l, d, m = rng.integers(2, 21), rng.integers(1, 21), rng.integers(1, 4)
     D = rng.normal(size=(l, d))
     Y = rng.normal(size=(l, m))
-    Wp = solve_primal(D, Y, gamma)
-    Wd = solve_dual(D, Y, gamma)
+    Wp = solve_primal(D, Y, [gamma])[0]
+    Wd = solve_dual(D, Y, [gamma])[0]
     assert np.linalg.norm(Wp - Wd) <= 1e-8 * (1 + np.linalg.norm(Wp))
 
 
@@ -84,7 +101,7 @@ def test_normal_equation_residual_property(seed):
     D = rng.normal(size=(rng.integers(2, 15), rng.integers(1, 15)))
     Y = rng.normal(size=(D.shape[0], 2))
     for gamma in (1e-5, 1.0, 1e5):
-        W = solve_auto(D, Y, gamma)
+        W = solve_auto(D, Y, [gamma])[0]
         G = D.T @ D + np.eye(D.shape[1]) / gamma
         rhs = D.T @ Y
         res = np.linalg.norm(G @ W - rhs)
@@ -94,7 +111,7 @@ def test_normal_equation_residual_property(seed):
 def test_monotone_shrinkage(rng):
     D = rng.normal(size=(12, 5))
     Y = rng.normal(size=(12, 2))
-    norms = [np.linalg.norm(solve_primal(D, Y, g)) for g in (1e-3, 1e-1, 1e1, 1e3)]
+    norms = [np.linalg.norm(solve_primal(D, Y, [g])[0]) for g in (1e-3, 1e-1, 1e1, 1e3)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -115,8 +132,8 @@ class TestFactorizationFailure:
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
         D = rng.normal(size=(6, 3))
         Y = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(solve_primal(D, Y, 10.0), oracle(D, Y, 10.0), atol=1e-9)
-        np.testing.assert_allclose(solve_dual(D, Y, 10.0), oracle(D, Y, 10.0), atol=1e-9)
+        np.testing.assert_allclose(solve_primal(D, Y, [10.0])[0], oracle(D, Y, 10.0), atol=1e-9)
+        np.testing.assert_allclose(solve_dual(D, Y, [10.0])[0], oracle(D, Y, 10.0), atol=1e-9)
         assert len(lu_calls) == 2
 
     def test_lu_failure_raises_with_condition_estimate(self, rng, monkeypatch):
@@ -125,4 +142,4 @@ class TestFactorizationFailure:
         D = rng.normal(size=(6, 3))
         for solve in (solve_primal, solve_dual):
             with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e[+-]\d+"):
-                solve(D, np.ones((6, 2)), 10.0)
+                solve(D, np.ones((6, 2)), [10.0])
