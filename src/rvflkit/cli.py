@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv
+from .data import DataError, load_csv, read_features
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
     grid_search
 from .kernel import KernelParams
@@ -107,10 +107,13 @@ def _model_config(args, overlay, source) -> ModelConfig:
     )
 
 
+def _data_settings(args, overlay, source):
+    setting = functools.partial(_resolve, args, overlay, source=source)
+    return setting("path", None), setting("has_header", False), setting("label_column", "last")
+
+
 def _load_dataset(args, overlay, source):
-    return load_csv(_resolve(args, overlay, "path", None, source),
-                    has_header=_resolve(args, overlay, "has_header", False, source),
-                    label_column=_resolve(args, overlay, "label_column", "last", source),
+    return load_csv(*_data_settings(args, overlay, source),
                     name=_resolve(args, overlay, "name", None, source))
 
 
@@ -173,8 +176,8 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    dataset = _load_dataset(args, {}, None)
-    _, labels = predict(model, dataset.features)
+    features, _ = read_features(*_data_settings(args, {}, None), n_features=model.n_features)
+    _, labels = predict(model, features)
     names = [model.class_names[i] for i in labels]
     if args.format == "json":
         print(json.dumps({"labels": names}))
@@ -387,7 +390,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict labels with a saved model")
+    p = sub.add_parser("predict", help="predict labels with a saved model; rows of the "
+                       "model's feature count hold no label, rows of one more field do")
     add_data(p); add_common(p)
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_predict)

@@ -94,15 +94,30 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
-def load_csv(path, has_header: bool = False, label_column="last",
-             name: str | None = None) -> Dataset:
-    """Load a comma-separated dataset with one label column.
+def _label_index(path, width: int, label_column, n_features: int | None) -> int | None:
+    """Position of the label among a row's ``width`` fields. Given a model's
+    ``n_features``, the width decides: rows of exactly that many fields hold no label
+    (None), and rows of one field more hold one."""
+    if n_features is not None:
+        if width == n_features:
+            return None
+        if width != n_features + 1:
+            raise DataError(f"{path}: rows have {width} fields; expected {n_features} "
+                            f"(features only) or {n_features + 1} (features and a label)")
+    label_idx = width - 1 if label_column == "last" else int(label_column)
+    if not 0 <= label_idx < width:
+        raise DataError(f"label column {label_column} out of range for {width} columns")
+    if width < 2:
+        raise DataError(f"{path}: need at least one feature column besides the label")
+    return label_idx
 
-    Labels are encoded 0..m-1 in order of first appearance; row order is kept.
-    """
+
+def _read_cells(path, has_header, label_column, n_features=None):
+    """The exact reader: csv-module rows, stripped cells, one ``float()`` per feature
+    cell, and errors that name the row and column. Returns what ``read_features`` does."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for rec in reader:
                 if rec and any(cell.strip() for cell in rec):
@@ -115,34 +130,89 @@ def load_csv(path, has_header: bool = False, label_column="last",
         raise DataError(f"{path}: no data rows")
 
     width = len(rows[0])
-    label_idx = width - 1 if label_column == "last" else int(label_column)
-    if not 0 <= label_idx < width:
-        raise DataError(f"label column {label_column} out of range for {width} columns")
-    if width < 2:
-        raise DataError(f"{path}: need at least one feature column besides the label")
-
+    label_idx = _label_index(path, width, label_column, n_features)
     features = []
     raw_labels = []
     for r, rec in enumerate(rows):
         if len(rec) != width:
             raise DataError(f"row {r} has {len(rec)} fields, expected {width}")
-        raw_labels.append(rec[label_idx])
-        feat_cells = rec[:label_idx] + rec[label_idx + 1:]
-        features.append([_parse_cell(cell, r, c) for c, cell in enumerate(feat_cells)])
+        if label_idx is not None:
+            raw_labels.append(rec[label_idx])
+            rec = rec[:label_idx] + rec[label_idx + 1:]
+        features.append([_parse_cell(cell, r, c) for c, cell in enumerate(rec)])
+    return np.array(features), raw_labels if label_idx is not None else None
 
+
+def _read_loadtxt(path, has_header, label_column, n_features):
+    """``_read_cells`` in one ``np.loadtxt`` pass. Raises ValueError on every input it
+    might read differently: a blank or quoted first line, a ragged row (the structured
+    dtype takes exactly ``width`` fields), a cell ``loadtxt`` cannot parse (quotes,
+    ``1_0``, blank cells), a non-finite value or a quoted label."""
+    skip = 1 if has_header else 0
+    with open(path, encoding="utf-8-sig") as fh:
+        head = [fh.readline() for _ in range(skip + 1)]
+        # the csv reader skips rows of blank cells, where skiprows counts lines
+        if not all(line.replace(",", "").strip() and '"' not in line for line in head):
+            raise ValueError("blank or quoted line before the first data row")
+        width = head[-1].count(",") + 1
+        label_idx = _label_index(path, width, label_column, n_features)
+        fh.seek(0)
+        dtype = [(f"c{j}", object if j == label_idx else "f8") for j in range(width)]
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip,
+                           ndmin=1)
+    features = np.column_stack([table[f"c{j}"] for j in range(width) if j != label_idx])
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite feature value")
+    if label_idx is None:
+        return features, None
+    labels = [cell.strip() for cell in table[f"c{label_idx}"]]
+    if any('"' in lab for lab in labels):
+        raise ValueError("quoted label")
+    return features, labels
+
+
+def read_features(path, has_header: bool = False, label_column="last",
+                  n_features: int | None = None):
+    """Feature matrix and stripped label cells of a comma-separated file, in file order.
+
+    Blank rows are skipped. Labels are None when ``n_features`` is given and the rows
+    hold exactly that many fields (see ``_label_index``). The file is read with one
+    ``np.loadtxt`` pass; any input that pass may read differently goes to the per-cell
+    reader, which gives the same result or the error that names the bad cell.
+    """
+    try:
+        return _read_loadtxt(path, has_header, label_column, n_features)
+    except (OSError, ValueError):
+        return _read_cells(path, has_header, label_column, n_features)
+
+
+def _encode_labels(path, raw_labels):
+    """Label cells as 0..m-1 in order of first appearance, and the class names."""
     class_names: list[str] = []
     index_of: dict[str, int] = {}
     labels = []
-    for lab in raw_labels:
+    for r, lab in enumerate(raw_labels):
+        if not lab:
+            raise DataError(f"{path}: empty label at row {r}")
         if lab not in index_of:
             index_of[lab] = len(class_names)
             class_names.append(lab)
         labels.append(index_of[lab])
     if len(class_names) < 2:
         raise DataError(f"{path}: single class {class_names[0]!r}; need at least two")
+    return np.array(labels), class_names
 
+
+def load_csv(path, has_header: bool = False, label_column="last",
+             name: str | None = None) -> Dataset:
+    """Load a comma-separated dataset with one label column.
+
+    Labels are encoded 0..m-1 in order of first appearance; row order is kept.
+    """
+    features, raw_labels = read_features(path, has_header, label_column)
+    labels, class_names = _encode_labels(path, raw_labels)
     ds_name = name if name is not None else str(path)
-    return Dataset(np.array(features), np.array(labels), class_names, ds_name)
+    return Dataset(features, labels, class_names, ds_name)
 
 
 def fit_normalization(train_features) -> NormalizationParams:
@@ -150,7 +220,13 @@ def fit_normalization(train_features) -> NormalizationParams:
     if X.ndim != 2 or X.shape[0] < 1:
         raise DataError("fit_normalization needs at least one row")
     mins = X.min(axis=0)
-    rng = X.max(axis=0) - mins
+    maxs = X.max(axis=0)
+    with np.errstate(over="ignore"):
+        rng = maxs - mins
+    if np.any(np.isinf(rng)):
+        j = int(np.flatnonzero(np.isinf(rng))[0])
+        raise DataError(f"feature column {j} spans {float(mins[j])!r} to {float(maxs[j])!r}; "
+                        "its range overflows float64")
     rng[rng == 0] = 1.0
     return NormalizationParams(mins, rng)
 

@@ -1,7 +1,8 @@
 """Cross-validation, exhaustive grid search, and benchmark-table assembly.
 
 ``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
-caches one fold's kernel, distances, delta and scores, and its ``evaluate``
+caches one fold's kernel matrix and cp per kernel entry, class geometry per
+kernel entry and center scheme, and scores per weighting, and its ``evaluate``
 fits a group of configs with ``model.forward``/``model.fit_output_weights``.
 The grid is a shared ridge path: per fold, configs with the same hidden-node
 count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
@@ -26,10 +27,12 @@ import scipy.stats
 
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
-from .kernel import KernelParams, feature_space_distance_matrix, kernel_matrix
+from .kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
+    kernel_matrix
 from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
-from .weighting import WeightingConfig, resolve_delta, score_samples
+from .weighting import WeightingConfig, class_probability, contribution_scores, huber_weights, \
+    resolve_delta
 
 
 def accuracy(pred, truth) -> float:
@@ -118,19 +121,27 @@ class _FoldContext:
         self._score_cache: dict = {}
 
     def _kernel_entry(self, w: WeightingConfig):
+        """K, cp and the class geometry per center scheme, for a weighting's kernel and
+        delta settings. The distance matrix only serves delta and cp, so it is not kept."""
         key = (w.kernel, w.delta, w.delta_quantile)
         if key not in self._kernel_cache:
             K = kernel_matrix(self.X_tr, self.X_tr, w.kernel)
             dist = feature_space_distance_matrix(K)
-            self._kernel_cache[key] = (K, dist, resolve_delta(dist, w))
+            cp = class_probability(self.y_tr, resolve_delta(dist, w), dist)
+            self._kernel_cache[key] = (K, cp, {})
         return self._kernel_cache[key]
 
     def scores(self, config: ModelConfig) -> np.ndarray:
-        """Scores r of a robust config, cached on its weighting and center scheme."""
+        """Scores r = cp * m of a robust config, cached on its weighting and center scheme.
+        cp and the class geometry do not depend on tau, so they are built once per kernel
+        entry (and center scheme); only the Huber weights m are computed per tau."""
         w, scheme = config.weighting, CENTER_SCHEMES[config.variant]
         if (w, scheme) not in self._score_cache:
-            K, dist, delta = self._kernel_entry(w)
-            self._score_cache[w, scheme] = score_samples(self.y_tr, K, dist, delta, w, scheme).r
+            K, cp, geometries = self._kernel_entry(w)
+            if scheme not in geometries:
+                geometries[scheme] = build_class_geometry(self.y_tr, K, scheme)
+            m = huber_weights(self.y_tr, geometries[scheme], w.tau_multiplier)
+            self._score_cache[w, scheme] = contribution_scores(cp, m).r
         return self._score_cache[w, scheme]
 
     def evaluate(self, configs, seed: int) -> list[float]:

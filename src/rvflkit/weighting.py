@@ -1,10 +1,11 @@
 """Per-sample contribution scores: class probability, Huber weights, and their product.
 
-Every caller resolves delta with ``resolve_delta`` and scores with
-``score_samples``; ``compute_contribution_scores`` builds the kernel and
-distance matrices for ``train``, the CV fold code passes its cached ones.
-Both take the class-center scheme from the caller, which reads it off the
-variant (``model.CENTER_SCHEMES``).
+``compute_contribution_scores`` runs the whole pipeline for ``train``:
+kernel and distance matrices, ``resolve_delta``, ``class_probability``, the
+class geometry, ``huber_weights`` and ``contribution_scores``. The CV fold code
+calls the same steps itself, caching each on what it depends on. Both take
+the class-center scheme from the caller, which reads it off the variant
+(``model.CENTER_SCHEMES``).
 """
 
 from __future__ import annotations
@@ -95,18 +96,11 @@ def contribution_scores(cp, m) -> ContributionScores:
     return ContributionScores(cp, m, cp * m)
 
 
-def score_samples(labels, K: np.ndarray, dist: np.ndarray, delta: float,
-                  config: WeightingConfig, scheme: str) -> ContributionScores:
-    """cp * Huber scores from a training kernel matrix, its distance matrix and a center scheme."""
-    cp = class_probability(labels, delta, dist)
-    geometry = build_class_geometry(labels, K, scheme)
-    m = huber_weights(labels, geometry, config.tau_multiplier)
-    return contribution_scores(cp, m)
-
-
 def compute_contribution_scores(features, labels, config: WeightingConfig,
                                 scheme: str) -> ContributionScores:
     """Full weighting pipeline on normalized training features."""
     K = kernel_matrix(features, features, config.kernel)
     dist = feature_space_distance_matrix(K)
-    return score_samples(labels, K, dist, resolve_delta(dist, config), config, scheme)
+    cp = class_probability(labels, resolve_delta(dist, config), dist)
+    geometry = build_class_geometry(labels, K, scheme)
+    return contribution_scores(cp, huber_weights(labels, geometry, config.tau_multiplier))

@@ -67,6 +67,43 @@ class TestPredict:
         assert code == 0
         assert len(out.strip().splitlines()) == 24
 
+    def test_rows_without_label(self, toy_csv, tmp_path, capsys):
+        # the row width tells features-only rows from labelled ones; an Excel-style BOM
+        # and a single row are read as well
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(toy_csv), "--variant", "rvfl",
+                     "--hidden", "23", "--gamma", "100", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        _, labelled = run(capsys, "predict", "--data", str(toy_csv), "--model", str(model_path))
+        rows = list(csv.reader(toy_csv.read_text().splitlines()))
+        features_only = tmp_path / "features.csv"
+        features_only.write_text("\ufeff" + "".join(",".join(r[:-1]) + "\n" for r in rows),
+                                 encoding="utf-8")
+        code, out = run(capsys, "predict", "--data", str(features_only),
+                        "--model", str(model_path))
+        assert code == 0 and out == labelled
+        one_row = tmp_path / "one.csv"
+        one_row.write_text(",".join(rows[5][:-1]) + "\n")
+        code, out = run(capsys, "predict", "--data", str(one_row), "--model", str(model_path))
+        assert code == 0 and out.splitlines() == [labelled.splitlines()[5]]
+        label_first = tmp_path / "label_first.csv"
+        label_first.write_text("".join(",".join([r[-1]] + r[:-1]) + "\n" for r in rows))
+        code, out = run(capsys, "predict", "--data", str(label_first), "--label-column", "0",
+                        "--model", str(model_path))
+        assert code == 0 and out == labelled
+
+    def test_other_row_width_is_one_line_error(self, toy_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(toy_csv), "--variant", "rvfl",
+                     "--hidden", "5", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3,a\n4,5,6,b\n")
+        assert main(["predict", "--data", str(wide), "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "4 fields; expected 2 (features only) or 3 (features and a label)" in err
+
 
 class TestCv:
     def test_fold_output_and_determinism(self, toy_csv, capsys):
@@ -224,6 +261,8 @@ def _write(path, text):
     ("cv_gamma_overflows_reciprocal", 2),
     ("cv_config_gamma_overflow", 2),
     ("cv_kernel_gamma_inf", 2),
+    ("cv_range_overflow", 2),
+    ("cv_empty_label", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -278,6 +317,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
                                           "--gamma", "1e-320"],
         "cv_kernel_gamma_inf": ["cv", "--data", data, "--variant", "r2vfl-m",
                                 "--kernel-gamma", "inf"],
+        "cv_range_overflow": ["cv", "--variant", "rvfl", "--k", "2", "--data", _write(
+            tmp_path / "overflow.csv", "1e308,2,a\n-1e308,4,b\n5,6,a\n1,1,b\n")],
+        "cv_empty_label": ["cv", "--variant", "rvfl", "--k", "2", "--data", _write(
+            tmp_path / "empty_label.csv", "1,2,a\n3,4,b\n5,6,\n7,8,b\n")],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -308,7 +351,8 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "grid_seed_negative": "seed", "cv_gamma_inf": "error: gamma",
             "cv_gamma_overflows_reciprocal": "error: gamma",
             "cv_config_gamma_overflow": "error: gamma",
-            "cv_kernel_gamma_inf": "kernel gamma"}.get(case, "") in err
+            "cv_kernel_gamma_inf": "kernel gamma", "cv_range_overflow": "feature column 0",
+            "cv_empty_label": "empty label at row 2"}.get(case, "") in err
 
 
 class TestStats:

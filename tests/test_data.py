@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rvflkit.data import DataError, Dataset, apply_normalization, fit_normalization, load_csv, \
-    one_hot, stratified_k_fold
+from rvflkit.data import DataError, Dataset, _encode_labels, _read_cells, apply_normalization, \
+    fit_normalization, load_csv, one_hot, read_features, stratified_k_fold
 from conftest import random_dataset
 
 
@@ -45,11 +46,130 @@ class TestLoadCsv:
         assert ds.class_names == ("x", "y")
         np.testing.assert_array_equal(ds.features, [[1.0], [2.0]])
 
+    def test_empty_label_names_row(self, tmp_path):
+        with pytest.raises(DataError, match="empty label at row 1"):
+            load_csv(write(tmp_path, "1.0,a\n2.0, \n3.0,b\n"))
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        ds = load_csv(write(tmp_path, "\ufeff1.5,a\n2.0,b\n"))
+        np.testing.assert_array_equal(ds.features, [[1.5], [2.0]])
+
+    def test_cells_only_float_accepts(self, tmp_path):
+        # quoted cells, underscores and padding are read by the per-cell fallback
+        ds = load_csv(write(tmp_path, '"1.5", 1_0 ,"a"\r\n  \r\n2.0,3,b\r\n'))
+        np.testing.assert_array_equal(ds.features, [[1.5, 10.0], [2.0, 3.0]])
+        assert ds.class_names == ("a", "b")
+
+
+class TestReadFeatures:
+    def test_width_decides_whether_rows_hold_a_label(self, tmp_path):
+        X, labels = read_features(write(tmp_path, "1,2\n3,4\n"), n_features=2)
+        np.testing.assert_array_equal(X, [[1, 2], [3, 4]])
+        assert labels is None
+        X, labels = read_features(write(tmp_path, "x,1,2\n", "one.csv"), label_column=0,
+                                  n_features=2)
+        np.testing.assert_array_equal(X, [[1, 2]])
+        assert labels == ["x"]
+
+    def test_other_width_names_both_accepted_widths(self, tmp_path):
+        with pytest.raises(DataError, match=r"4 fields; expected 2 \(features only\) or 3"):
+            read_features(write(tmp_path, "1,2,3,4\n"), n_features=2)
+
+
+def exact_dataset(path, has_header, label_column):
+    """load_csv through the per-cell reader alone."""
+    features, raw_labels = _read_cells(path, has_header, label_column)
+    labels, class_names = _encode_labels(path, raw_labels)
+    return Dataset(features, labels, class_names, str(path))
+
+
+def outcome(fn):
+    """A result reduced to comparable bytes, or the error it raised."""
+    try:
+        result = fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Dataset):
+        features, labels = result.features, (result.labels.tobytes(), result.class_names)
+    else:
+        features, labels = result
+    return features.shape, features.dtype, features.flags.c_contiguous, features.tobytes(), labels
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6g}"),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.17e}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["-0", "+.5", "5.", "4.9e-324", "1.7976931348623157e308", " 2 ", "\t3"]),
+)
+ODD_CELLS = st.one_of(
+    st.sampled_from(["1_0", "nan", "-inf", "1e400", "", "  ", '"1"', '"1,2"', '"1\n2"', '"',
+                     "x", "#1", "\x1c1", "1\x85", "\u0661"]),
+    st.text(alphabet=' \t0123456789.eE+-_naif"', max_size=5),
+)
+LABELS = st.sampled_from(["a", "b", "c", " b", "c "])
+ODD_LABELS = st.sampled_from(["", " ", '"a"', '"a,b"', 'a"b', "#", "1.0", "\x00"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text and how to read it: a well-formed file, or one with a single defect (an
+    odd cell, label, line or header), so that each input the loadtxt path must hand to
+    the per-cell reader is tried on its own."""
+    width = draw(st.integers(1, 4))
+    label_at = draw(st.integers(0, width - 1))
+    rows = [[draw(LABELS if j == label_at else NUMBERS) for j in range(width)]
+            for _ in range(draw(st.integers(0, 8)))]
+    defect = draw(st.sampled_from([None, None, "cell", "label", "line", "header"]))
+    if rows and defect in ("cell", "label"):
+        row = draw(st.sampled_from(rows))
+        j = label_at if defect == "label" else draw(st.integers(0, width - 1))
+        row[j] = draw(ODD_LABELS if defect == "label" else ODD_CELLS)
+    lines = [",".join(row) for row in rows]
+    if defect == "line":  # blank, whitespace-only or ragged
+        odd = draw(st.sampled_from(["", "  ", " , ", "1", ",".join(["1"] * (width + 1))]))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    header = draw(st.booleans())
+    if header:
+        names = ['"h"', '"h,', '"h\n'] if defect == "header" else ["f", "1"]
+        lines.insert(0, ",".join(draw(st.sampled_from(names)) for _ in range(width)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    own = "last" if label_at == width - 1 else label_at
+    label_column = draw(st.sampled_from([own, own, own, label_at, -1, width]))
+    return text, draw(st.sampled_from([header, header, not header])), label_column, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(), st.sampled_from([None, -1, 0, 1]))
+@example(('1,a\n2,"b"\n3,b\n', False, "last", 2), None)      # quoted label after row 0
+@example(("1,a\n2,b\nnan,a\n", False, "last", 2), None)       # non-finite after row 0
+@example(('"h,h\n1,a\n2,b\n', True, "last", 2), None)         # header quote never closed
+@example(("\n1,1\n1,a\n2,b\n", True, "last", 2), None)       # blank line before the header
+@example((" , \na,0.0\nb,0.0\n", True, 0, 2), None)           # row of blank cells, then header
+@example(("\ufeff1_0,a\r2,b\r", False, 0, 2), 0)              # BOM, lone CR, label first
+def test_loadtxt_path_matches_per_cell_reader(tmp_path_factory, case, n_features_offset):
+    text, has_header, label_column, width = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda: load_csv(path, has_header, label_column)) == \
+        outcome(lambda: exact_dataset(path, has_header, label_column))
+    n_features = None if n_features_offset is None else max(width + n_features_offset, 1)
+    assert outcome(lambda: read_features(path, has_header, label_column, n_features)) == \
+        outcome(lambda: _read_cells(path, has_header, label_column, n_features))
+
 
 class TestNormalization:
     def test_min_and_range(self):
         p = fit_normalization(np.array([[2.0], [4.0], [6.0]]))
         assert p.minimum[0] == 2 and p.range[0] == 4
+
+    def test_overflowing_range_names_column(self):
+        with pytest.raises(DataError, match="feature column 1 spans"):
+            fit_normalization(np.array([[0.0, 1e308], [1.0, -1e308]]))
 
     def test_constant_column_range_one(self):
         p = fit_normalization(np.array([[5.0], [5.0]]))

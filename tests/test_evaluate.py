@@ -177,7 +177,7 @@ class TestSharedRidgePath:
         self.assert_cells_match_oracle(ds, variant, grid, jobs=2)
 
     def test_one_layer_per_hidden_count_one_gram_per_weighting(self, rng, monkeypatch):
-        calls = {"layer": 0, "gram": 0, "factorization": 0}
+        calls = {"layer": 0, "gram": 0, "factorization": 0, "geometry": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -191,6 +191,8 @@ class TestSharedRidgePath:
             monkeypatch.setattr(rvflkit.solver, name, counting("gram", getattr(rvflkit.solver, name)))
         monkeypatch.setattr(rvflkit.solver, "_spd_solve",
                             counting("factorization", rvflkit.solver._spd_solve))
+        monkeypatch.setattr(rvflkit.evaluate, "build_class_geometry",
+                            counting("geometry", rvflkit.evaluate.build_class_geometry))
         ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
         grid = self.GRID
         res = grid_search(ds, "r2vfl-m", grid, jobs=1)
@@ -199,6 +201,8 @@ class TestSharedRidgePath:
         assert calls["layer"] == len(grid.hidden_grid) * grid.k
         assert calls["gram"] == len(grid.hidden_grid) * weightings * grid.k
         assert calls["factorization"] == len(res.trace) * grid.k
+        # the class geometry does not depend on tau: one per (kernel gamma, fold)
+        assert calls["geometry"] == len(grid.kernel_grid) * grid.k
 
     def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
         def fail(*args, **kwargs):
