@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -112,18 +113,23 @@ def _label_index(path, width: int, label_column, n_features: int | None) -> int 
     return label_idx
 
 
-def _read_cells(path, has_header, label_column, n_features=None):
-    """The exact reader: csv-module rows, stripped cells, one ``float()`` per feature
-    cell, and errors that name the row and column. Returns what ``read_features`` does."""
-    rows = []
+def _read_text(path) -> str:
+    """The whole file as text, line ends as written. Read once, so that a pipe works."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            for rec in reader:
-                if rec and any(cell.strip() for cell in rec):
-                    rows.append([cell.strip() for cell in rec])
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_cells(text, path, has_header, label_column, n_features=None):
+    """The exact reader of a file's ``text``: csv-module rows, stripped cells, one
+    ``float()`` per feature cell, and errors that name the row and column. Returns what
+    ``read_features`` does."""
+    rows = []
+    for rec in csv.reader(io.StringIO(text, newline="")):
+        if rec and any(cell.strip() for cell in rec):
+            rows.append([cell.strip() for cell in rec])
     if has_header and rows:
         rows = rows[1:]
     if not rows:
@@ -143,23 +149,30 @@ def _read_cells(path, has_header, label_column, n_features=None):
     return np.array(features), raw_labels if label_idx is not None else None
 
 
-def _read_loadtxt(path, has_header, label_column, n_features):
+# line breaks of str.splitlines other than \n, \r and \r\n, the csv module's own
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_loadtxt(text, path, has_header, label_column, n_features):
     """``_read_cells`` in one ``np.loadtxt`` pass. Raises ValueError on every input it
     might read differently: a blank or quoted first line, a ragged row (the structured
     dtype takes exactly ``width`` fields), a cell ``loadtxt`` cannot parse (quotes,
-    ``1_0``, blank cells), a non-finite value or a quoted label."""
+    ``1_0``, blank cells), a non-finite value, a quoted label or a line break that only
+    ``str.splitlines`` splits on."""
+    if any(c in text for c in _SPLITLINES_ONLY):
+        raise ValueError("a line break the csv module does not split on")
+    lines = text.splitlines()
     skip = 1 if has_header else 0
-    with open(path, encoding="utf-8-sig") as fh:
-        head = [fh.readline() for _ in range(skip + 1)]
-        # the csv reader skips rows of blank cells, where skiprows counts lines
-        if not all(line.replace(",", "").strip() and '"' not in line for line in head):
-            raise ValueError("blank or quoted line before the first data row")
-        width = head[-1].count(",") + 1
-        label_idx = _label_index(path, width, label_column, n_features)
-        fh.seek(0)
-        dtype = [(f"c{j}", object if j == label_idx else "f8") for j in range(width)]
-        table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip,
-                           ndmin=1)
+    head = lines[:skip + 1]
+    # the csv reader skips rows of blank cells, where skiprows counts lines
+    if len(head) <= skip or not all(line.replace(",", "").strip() and '"' not in line
+                                    for line in head):
+        raise ValueError("blank or quoted line before the first data row")
+    width = head[-1].count(",") + 1
+    label_idx = _label_index(path, width, label_column, n_features)
+    dtype = [(f"c{j}", object if j == label_idx else "f8") for j in range(width)]
+    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=skip,
+                       ndmin=1)
     features = np.column_stack([table[f"c{j}"] for j in range(width) if j != label_idx])
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature value")
@@ -178,12 +191,15 @@ def read_features(path, has_header: bool = False, label_column="last",
     Blank rows are skipped. Labels are None when ``n_features`` is given and the rows
     hold exactly that many fields (see ``_label_index``). The file is read with one
     ``np.loadtxt`` pass; any input that pass may read differently goes to the per-cell
-    reader, which gives the same result or the error that names the bad cell.
+    reader, which gives the same result or the error that names the bad cell. Both parse
+    the same text, read from ``path`` once.
     """
+    text = _read_text(path)
     try:
-        return _read_loadtxt(path, has_header, label_column, n_features)
-    except (OSError, ValueError):
-        return _read_cells(path, has_header, label_column, n_features)
+        return _read_loadtxt(text, path, has_header, label_column, n_features)
+    except ValueError:
+        pass  # outside the handler, the fast path's frame and its lines are freed
+    return _read_cells(text, path, has_header, label_column, n_features)
 
 
 def _encode_labels(path, raw_labels):

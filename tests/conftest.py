@@ -1,6 +1,7 @@
 import ctypes
 import glob
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,28 @@ def random_dataset(rng, n_samples=None, n_features=None, n_classes=None) -> Data
     y = np.concatenate([np.arange(m), rng.integers(0, m, size=l - m)])
     rng.shuffle(y)
     return Dataset(X, y, tuple(f"c{i}" for i in range(m)))
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+
+
+def read_through_pipe(text, read):
+    """``read(path)`` of the ``/dev/fd`` path of a pipe that a thread fills with
+    ``text``: input that can be read only once and not rewound, as ``/dev/stdin`` or
+    ``<(zcat x.csv.gz)`` are."""
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
 
 
 def fit_with_unit_scores(ds, config):

@@ -6,6 +6,7 @@ import pytest
 
 from rvflkit.cli import main
 from rvflkit.datasets import gaussian_blobs
+from conftest import needs_dev_fd, read_through_pipe
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 
@@ -91,6 +92,18 @@ class TestPredict:
         code, out = run(capsys, "predict", "--data", str(label_first), "--label-column", "0",
                         "--model", str(model_path))
         assert code == 0 and out == labelled
+
+    @needs_dev_fd
+    def test_reads_from_a_pipe(self, toy_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(toy_csv), "--variant", "rvfl",
+                     "--hidden", "23", "--gamma", "100", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        _, from_file = run(capsys, "predict", "--data", str(toy_csv), "--model", str(model_path))
+        code, from_pipe = read_through_pipe(
+            toy_csv.read_text(),
+            lambda pipe: run(capsys, "predict", "--data", pipe, "--model", str(model_path)))
+        assert code == 0 and from_pipe == from_file
 
     def test_other_row_width_is_one_line_error(self, toy_csv, tmp_path, capsys):
         model_path = tmp_path / "m.bin"

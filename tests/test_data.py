@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rvflkit.data import DataError, Dataset, _encode_labels, _read_cells, apply_normalization, \
-    fit_normalization, load_csv, one_hot, read_features, stratified_k_fold
-from conftest import random_dataset
+from rvflkit.data import DataError, Dataset, _encode_labels, _read_cells, _read_text, \
+    apply_normalization, fit_normalization, load_csv, one_hot, read_features, stratified_k_fold
+from conftest import needs_dev_fd, random_dataset, read_through_pipe
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -60,6 +60,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, [[1.5, 10.0], [2.0, 3.0]])
         assert ds.class_names == ("a", "b")
 
+    @needs_dev_fd
+    @pytest.mark.parametrize("last_label", ["b", '"b"'])  # loadtxt path, per-cell reader
+    def test_named_pipe_reads_like_a_file(self, tmp_path, last_label):
+        # a pipe can be read only once, so both readers must parse the same text
+        rows = [f"{i * 0.37!r},{-i / 7!r},{'ab'[i % 2]}" for i in range(5000)]
+        text = "\n".join(rows + [f"1.5,2.5,{last_label}"]) + "\n"
+        expected = outcome(lambda: load_csv(write(tmp_path, text)))
+        assert expected[0] == (5001, 2)
+        assert outcome(lambda: read_through_pipe(text, load_csv)) == expected
+
 
 class TestReadFeatures:
     def test_width_decides_whether_rows_hold_a_label(self, tmp_path):
@@ -78,7 +88,7 @@ class TestReadFeatures:
 
 def exact_dataset(path, has_header, label_column):
     """load_csv through the per-cell reader alone."""
-    features, raw_labels = _read_cells(path, has_header, label_column)
+    features, raw_labels = _read_cells(_read_text(path), path, has_header, label_column)
     labels, class_names = _encode_labels(path, raw_labels)
     return Dataset(features, labels, class_names, str(path))
 
@@ -108,6 +118,7 @@ ODD_CELLS = st.one_of(
                      "x", "#1", "\x1c1", "1\x85", "\u0661"]),
     st.text(alphabet=' \t0123456789.eE+-_naif"', max_size=5),
 )
+SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 LABELS = st.sampled_from(["a", "b", "c", " b", "c "])
 ODD_LABELS = st.sampled_from(["", " ", '"a"', '"a,b"', 'a"b', "#", "1.0", "\x00"])
 
@@ -115,13 +126,13 @@ ODD_LABELS = st.sampled_from(["", " ", '"a"', '"a,b"', 'a"b', "#", "1.0", "\x00"
 @st.composite
 def csv_files(draw):
     """CSV text and how to read it: a well-formed file, or one with a single defect (an
-    odd cell, label, line or header), so that each input the loadtxt path must hand to
-    the per-cell reader is tried on its own."""
+    odd cell, label, line, line break or header), so that each input the loadtxt path
+    must hand to the per-cell reader is tried on its own."""
     width = draw(st.integers(1, 4))
     label_at = draw(st.integers(0, width - 1))
     rows = [[draw(LABELS if j == label_at else NUMBERS) for j in range(width)]
             for _ in range(draw(st.integers(0, 8)))]
-    defect = draw(st.sampled_from([None, None, "cell", "label", "line", "header"]))
+    defect = draw(st.sampled_from([None, None, "cell", "label", "line", "break", "header"]))
     if rows and defect in ("cell", "label"):
         row = draw(st.sampled_from(rows))
         j = label_at if defect == "label" else draw(st.integers(0, width - 1))
@@ -135,7 +146,12 @@ def csv_files(draw):
         names = ['"h"', '"h,', '"h\n'] if defect == "header" else ["f", "1"]
         lines.insert(0, ",".join(draw(st.sampled_from(names)) for _ in range(width)))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    ends = [end] * len(lines)
+    if len(lines) > 1 and defect == "break":  # a line break that csv does not split on
+        ends[draw(st.integers(0, len(lines) - 2))] = draw(st.sampled_from(SPLITLINES_ONLY))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + e for line, e in zip(lines, ends))
     if draw(st.booleans()):
         text = "\ufeff" + text
     own = "last" if label_at == width - 1 else label_at
@@ -151,6 +167,7 @@ def csv_files(draw):
 @example(("\n1,1\n1,a\n2,b\n", True, "last", 2), None)       # blank line before the header
 @example((" , \na,0.0\nb,0.0\n", True, 0, 2), None)           # row of blank cells, then header
 @example(("\ufeff1_0,a\r2,b\r", False, 0, 2), 0)              # BOM, lone CR, label first
+@example(("1,a\x1c2,b\n", False, "last", 2), None)           # one csv row, two lines
 def test_loadtxt_path_matches_per_cell_reader(tmp_path_factory, case, n_features_offset):
     text, has_header, label_column, width = case
     path = tmp_path_factory.getbasetemp() / "differential.csv"
@@ -159,7 +176,8 @@ def test_loadtxt_path_matches_per_cell_reader(tmp_path_factory, case, n_features
         outcome(lambda: exact_dataset(path, has_header, label_column))
     n_features = None if n_features_offset is None else max(width + n_features_offset, 1)
     assert outcome(lambda: read_features(path, has_header, label_column, n_features)) == \
-        outcome(lambda: _read_cells(path, has_header, label_column, n_features))
+        outcome(lambda: _read_cells(_read_text(path), path, has_header, label_column,
+                                    n_features))
 
 
 class TestNormalization:
