@@ -9,7 +9,6 @@ from .model import ModelConfig, RandomLayer, TrainedModel, load_model, predict, 
 from .solver import solve_auto, solve_dual, solve_primal
 from .stats import FriedmanResult, WilcoxonResult, friedman, nemenyi_cd, nemenyi_table, \
     wilcoxon_signed_rank
-from .weighting import ContributionScores, WeightingConfig, class_probability, \
-    compute_contribution_scores, contribution_scores, huber_weights, resolve_delta
+from .weighting import ContributionScores, WeightingConfig, compute_contribution_scores
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv, read_features
+from .data import DataError, _csv_records, _read_text, load_csv, read_features
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
     grid_search
 from .kernel import KernelParams
@@ -118,8 +118,7 @@ def _load_dataset(args, overlay, source):
 
 
 def _read_table(path) -> BenchmarkTable:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    rows = _csv_records(_read_text(path), path)
     if not rows:
         raise DataError(f"{path} is empty; expected a header row of model names")
     header, body = rows[0], rows[1:]
@@ -133,8 +132,7 @@ def _read_table(path) -> BenchmarkTable:
 
 
 def _read_ranks(path):
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    rows = _csv_records(_read_text(path), path)
     if len(rows) < 2:
         raise DataError(f"{path} must hold a header row of model names and a row of ranks")
     if len(rows[1]) != len(rows[0]):

@@ -122,14 +122,23 @@ def _read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _csv_records(text, path) -> list[list[str]]:
+    """The csv records of ``text`` that hold a non-blank cell, with every cell stripped.
+    A csv error, such as a cell longer than ``csv.field_size_limit()``, is a one-line
+    DataError that names ``path``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = [[cell.strip() for cell in rec] for rec in reader]
+    except csv.Error as exc:
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+    return [rec for rec in records if any(rec)]
+
+
 def _read_cells(text, path, has_header, label_column, n_features=None):
     """The exact reader of a file's ``text``: csv-module rows, stripped cells, one
     ``float()`` per feature cell, and errors that name the row and column. Returns what
     ``read_features`` does."""
-    rows = []
-    for rec in csv.reader(io.StringIO(text, newline="")):
-        if rec and any(cell.strip() for cell in rec):
-            rows.append([cell.strip() for cell in rec])
+    rows = _csv_records(text, path)
     if has_header and rows:
         rows = rows[1:]
     if not rows:

@@ -1,4 +1,4 @@
-"""Built-in dataset generators used for demos and spot checks."""
+"""Built-in datasets used for demos and spot checks."""
 
 from __future__ import annotations
 
@@ -54,22 +54,3 @@ def tic_tac_toe_dataset() -> Dataset:
             labels.append(1)
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels),
                    ("positive", "negative"), name="tic_tac_toe")
-
-
-def gaussian_blobs(n_per_class: int, seed: int, separation: float = 2.0,
-                   n_features: int = 2, flip_fraction: float = 0.0) -> Dataset:
-    """Two spherical Gaussian classes, optionally with uniformly flipped labels."""
-    rng = np.random.default_rng(seed)
-    mean = np.zeros(n_features)
-    mean[0] = separation / 2.0
-    X = np.vstack([
-        rng.normal(-mean, 1.0, size=(n_per_class, n_features)),
-        rng.normal(mean, 1.0, size=(n_per_class, n_features)),
-    ])
-    y = np.repeat([0, 1], n_per_class)
-    if flip_fraction > 0:
-        n_flip = int(round(flip_fraction * y.size))
-        flip = rng.choice(y.size, size=n_flip, replace=False)
-        y = y.copy()
-        y[flip] = 1 - y[flip]
-    return Dataset(X, y, ("a", "b"), name=f"blobs_seed{seed}")

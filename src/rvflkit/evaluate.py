@@ -1,9 +1,10 @@
 """Cross-validation, exhaustive grid search, and benchmark-table assembly.
 
 ``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
-caches one fold's kernel matrix and cp per kernel entry, class geometry per
-kernel entry and center scheme, and scores per weighting, and its ``evaluate``
-fits a group of configs with ``model.forward``/``model.fit_output_weights``.
+caches one fold's ``weighting.kernel_scores`` (cp and the class geometry, the
+tau-free half of the weighting that ``train`` runs too) per kernel entry and
+center scheme, and keeps no l x l matrix between configs. Its ``evaluate`` fits
+a group of configs with ``model.forward``/``model.fit_output_weights``.
 The grid is a shared ridge path: per fold, configs with the same hidden-node
 count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
 and its activations, those that also share a weighting share one Gram matrix,
@@ -27,12 +28,10 @@ import scipy.stats
 
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
-from .kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
-    kernel_matrix
+from .kernel import KernelParams
 from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
-from .weighting import WeightingConfig, class_probability, contribution_scores, huber_weights, \
-    resolve_delta
+from .weighting import WeightingConfig, contribution_scores, huber_weights, kernel_scores
 
 
 def accuracy(pred, truth) -> float:
@@ -104,7 +103,7 @@ def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
 
 
 class _FoldContext:
-    """One fold's normalized arrays plus kernel and score caches shared across configs."""
+    """One fold's normalized arrays plus the kernel cache its configs share."""
 
     def __init__(self, dataset: Dataset, assignment: FoldAssignment, f: int):
         tr_idx, te_idx = assignment.train_test_indices(f)
@@ -118,31 +117,21 @@ class _FoldContext:
         self.y_te = dataset.labels[te_idx]
         self.Y_tr = one_hot(self.y_tr, dataset.n_classes)
         self._kernel_cache: dict = {}
-        self._score_cache: dict = {}
 
-    def _kernel_entry(self, w: WeightingConfig):
-        """K, cp and the class geometry per center scheme, for a weighting's kernel and
-        delta settings. The distance matrix only serves delta and cp, so it is not kept."""
-        key = (w.kernel, w.delta, w.delta_quantile)
+    def _kernel_entry(self, w: WeightingConfig, scheme: str):
+        """``kernel_scores`` (cp and the class geometry) for a weighting's kernel and delta
+        settings and a center scheme; they do not depend on tau."""
+        key = (w.kernel, w.delta, w.delta_quantile, scheme)
         if key not in self._kernel_cache:
-            K = kernel_matrix(self.X_tr, self.X_tr, w.kernel)
-            dist = feature_space_distance_matrix(K)
-            cp = class_probability(self.y_tr, resolve_delta(dist, w), dist)
-            self._kernel_cache[key] = (K, cp, {})
+            self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme)
         return self._kernel_cache[key]
 
     def scores(self, config: ModelConfig) -> np.ndarray:
-        """Scores r = cp * m of a robust config, cached on its weighting and center scheme.
-        cp and the class geometry do not depend on tau, so they are built once per kernel
-        entry (and center scheme); only the Huber weights m are computed per tau."""
-        w, scheme = config.weighting, CENTER_SCHEMES[config.variant]
-        if (w, scheme) not in self._score_cache:
-            K, cp, geometries = self._kernel_entry(w)
-            if scheme not in geometries:
-                geometries[scheme] = build_class_geometry(self.y_tr, K, scheme)
-            m = huber_weights(self.y_tr, geometries[scheme], w.tau_multiplier)
-            self._score_cache[w, scheme] = contribution_scores(cp, m).r
-        return self._score_cache[w, scheme]
+        """Scores r = cp * m of a robust config: its kernel entry, then the Huber weights
+        m of its tau."""
+        w = config.weighting
+        cp, geometry = self._kernel_entry(w, CENTER_SCHEMES[config.variant])
+        return contribution_scores(cp, huber_weights(self.y_tr, geometry, w.tau_multiplier)).r
 
     def evaluate(self, configs, seed: int) -> list[float]:
         """Test accuracy of each config. The configs differ only in ridge gamma and
@@ -168,7 +157,7 @@ def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     """Per-fold accuracies (rows of NaN for skipped folds) and their means, one per config.
 
     Configs must share the variant and activation. One fold is built and released
-    at a time: each holds l x l kernel matrices.
+    at a time.
     """
     assignment = stratified_k_fold(dataset, k, seed)
     by_hidden: dict = {}
@@ -196,7 +185,7 @@ def _evaluate_chunk(dataset, variant, grid, indices):
 def _shared_groups(configs) -> list[list[int]]:
     """Config indices grouped by (weighting, hidden nodes), weighting-major. A group
     shares a random layer and a Gram matrix per fold; neighbouring groups share the
-    fold's kernel and score caches."""
+    fold's kernel cache."""
     groups: dict = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.weighting, {}).setdefault(config.hidden_nodes, []).append(i)

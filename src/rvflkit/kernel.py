@@ -32,16 +32,19 @@ def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
           + np.sum(B * B, axis=1)[None, :]
           - 2.0 * (A @ B.T))
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-params.gamma * sq)
+    sq *= -params.gamma
+    return np.exp(sq, out=sq)
 
 
 def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
     """Pairwise feature-space distances from a square kernel matrix K(X, X)."""
     K = np.asarray(K, dtype=np.float64)
     diag = np.diag(K)
-    sq = diag[:, None] + diag[None, :] - 2.0 * K
+    sq = diag[:, None] + diag[None, :]
+    for i in range(0, K.shape[0], 256):  # 2K a block of rows at a time: no l x l temporary
+        sq[i:i + 256] -= 2.0 * K[i:i + 256]
     np.clip(sq, 0.0, None, out=sq)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
 def median_center(K_class: np.ndarray) -> np.ndarray:
@@ -56,7 +59,6 @@ def median_center(K_class: np.ndarray) -> np.ndarray:
 class ClassGeometry:
     """Per-class radii and member distances for one center scheme, over a training kernel matrix."""
 
-    class_indices: tuple              # tuple of index arrays, one per class
     radii: np.ndarray                 # (m,) max member distance to own center
     distances: np.ndarray             # (l,) distance of each sample to its own class center
 
@@ -70,14 +72,12 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
     if K.shape != (l, l):
         raise KernelError(f"kernel matrix shape {K.shape} does not match {l} labels")
     m = int(labels.max()) + 1
-    idx_lists = []
     distances = np.zeros(l)
     radii = np.zeros(m)
     for j in range(m):
         idx = np.flatnonzero(labels == j)
         if idx.size == 0:
             raise KernelError(f"class {j} has no members")
-        idx_lists.append(idx)
         block = K[np.ix_(idx, idx)]
         if scheme == "average":
             # ||theta(x_i) - mean||^2 = K_ii - 2/l_j sum_g K_ig + 1/l_j^2 sum_gg' K_gg'
@@ -89,4 +89,4 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
             d = np.linalg.norm(block - center[None, :], axis=1)
         distances[idx] = d
         radii[j] = d.max()
-    return ClassGeometry(tuple(idx_lists), radii, distances)
+    return ClassGeometry(radii, distances)

@@ -1,10 +1,12 @@
 """Per-sample contribution scores: class probability, Huber weights, and their product.
 
-``compute_contribution_scores`` runs the whole pipeline for ``train``:
-kernel and distance matrices, ``resolve_delta``, ``class_probability``, the
-class geometry, ``huber_weights`` and ``contribution_scores``. The CV fold code
-calls the same steps itself, caching each on what it depends on. Both take
-the class-center scheme from the caller, which reads it off the variant
+The pipeline splits once, at tau. ``kernel_scores`` does all the l x l work,
+none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
+``class_probability``, the class geometry), and keeps only cp and the geometry.
+``huber_weights`` and ``contribution_scores`` then give r = cp * m for one tau.
+``train`` runs both halves through ``compute_contribution_scores``; the CV fold
+code caches ``kernel_scores`` per kernel entry and runs the second half per
+config. Both read the class-center scheme off the variant
 (``model.CENTER_SCHEMES``).
 """
 
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, kernel_matrix
+from .kernel import ClassGeometry, KernelParams, build_class_geometry, \
+    feature_space_distance_matrix, kernel_matrix
 
 
 class WeightingError(ValueError):
@@ -59,8 +62,12 @@ def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
         return float(config.delta)
     if dist.shape[0] < 2:
         raise WeightingError("need at least 2 samples to resolve delta from pairwise distances")
-    pair = dist[np.triu_indices(dist.shape[0], k=1)]
-    return float(np.quantile(pair, config.delta_quantile))
+    # a boolean mask selects the same pairs in the same order as np.triu_indices, without
+    # its two int64 index arrays of l(l-1)/2 entries; pair is ours, so it is partitioned
+    # in place rather than copied
+    l = dist.shape[0]
+    pair = dist[np.arange(l)[:, None] < np.arange(l)]
+    return float(np.quantile(pair, config.delta_quantile, overwrite_input=True))
 
 
 def class_probability(labels, delta: float, dist: np.ndarray) -> np.ndarray:
@@ -96,11 +103,18 @@ def contribution_scores(cp, m) -> ContributionScores:
     return ContributionScores(cp, m, cp * m)
 
 
-def compute_contribution_scores(features, labels, config: WeightingConfig,
-                                scheme: str) -> ContributionScores:
-    """Full weighting pipeline on normalized training features."""
+def kernel_scores(features, labels, config: WeightingConfig,
+                  scheme: str) -> tuple[np.ndarray, ClassGeometry]:
+    """cp and the class geometry on normalized training features: the part of the
+    weighting that does not depend on tau. K and the distance matrix are freed on return."""
     K = kernel_matrix(features, features, config.kernel)
     dist = feature_space_distance_matrix(K)
     cp = class_probability(labels, resolve_delta(dist, config), dist)
-    geometry = build_class_geometry(labels, K, scheme)
+    return cp, build_class_geometry(labels, K, scheme)
+
+
+def compute_contribution_scores(features, labels, config: WeightingConfig,
+                                scheme: str) -> ContributionScores:
+    """Full weighting pipeline on normalized training features."""
+    cp, geometry = kernel_scores(features, labels, config, scheme)
     return contribution_scores(cp, huber_weights(labels, geometry, config.tau_multiplier))

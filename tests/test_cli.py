@@ -5,8 +5,7 @@ from importlib import resources
 import pytest
 
 from rvflkit.cli import main
-from rvflkit.datasets import gaussian_blobs
-from conftest import needs_dev_fd, read_through_pipe
+from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 
@@ -276,12 +275,16 @@ def _write(path, text):
     ("cv_kernel_gamma_inf", 2),
     ("cv_range_overflow", 2),
     ("cv_empty_label", 2),
+    ("cv_oversized_cell", 2),
+    ("table_oversized_cell", 2),
+    ("ranks_oversized_cell", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
     out = str(tmp_path / "out")
     data = str(toy_csv)
     bench = '{"datasets": [{"path": "%s"}], "grid": %s}'
+    long_cell = "x" * 140_000  # longer than csv.field_size_limit()
     argv = {
         "manifest_is_list": ["bench", "--out", out,
                              "--manifest", _write(tmp_path / "list.json", "[1, 2]")],
@@ -334,6 +337,13 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             tmp_path / "overflow.csv", "1e308,2,a\n-1e308,4,b\n5,6,a\n1,1,b\n")],
         "cv_empty_label": ["cv", "--variant", "rvfl", "--k", "2", "--data", _write(
             tmp_path / "empty_label.csv", "1,2,a\n3,4,b\n5,6,\n7,8,b\n")],
+        "cv_oversized_cell": ["cv", "--variant", "rvfl", "--k", "2", "--data", _write(
+            tmp_path / "long.csv", f"1,{long_cell},a\n3,4,b\n5,6,a\n7,8,b\n")],
+        "table_oversized_cell": ["stats", "friedman", "--table", _write(
+            tmp_path / "long_table.csv", f"dataset,a,b\nd1,80,{long_cell}\nd2,70,75\n")],
+        "ranks_oversized_cell": ["stats", "nemenyi", "--datasets", "5", "--q-alpha", "2.3",
+                                 "--ranks", _write(tmp_path / "long_ranks.csv",
+                                                   f"a,b,{long_cell}\n1,2,3\n")],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -365,7 +375,9 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "cv_gamma_overflows_reciprocal": "error: gamma",
             "cv_config_gamma_overflow": "error: gamma",
             "cv_kernel_gamma_inf": "kernel gamma", "cv_range_overflow": "feature column 0",
-            "cv_empty_label": "empty label at row 2"}.get(case, "") in err
+            "cv_empty_label": "empty label at row 2", "cv_oversized_cell": "long.csv, line 1",
+            "table_oversized_cell": "long_table.csv, line 2",
+            "ranks_oversized_cell": "long_ranks.csv, line 1"}.get(case, "") in err
 
 
 class TestStats:

@@ -5,14 +5,16 @@ import scipy.linalg
 import rvflkit.evaluate
 import rvflkit.model
 import rvflkit.solver
+import rvflkit.weighting
 from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot, \
     stratified_k_fold
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
     enumerate_configs, fold_seed, grid_search
-from rvflkit.kernel import KernelParams
+from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
+    kernel_matrix
 from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
     init_random_layer, train
-from rvflkit.weighting import WeightingConfig, compute_contribution_scores
+from rvflkit.weighting import WeightingConfig, class_probability, huber_weights, resolve_delta
 from conftest import random_dataset
 
 
@@ -126,7 +128,9 @@ class TestGridSearch:
 
 def per_config_fold_accuracies(ds, config, k, seed):
     """Oracle: each fold fitted for this config alone, with the layer drawn from
-    fold_seed(seed, hidden nodes, fold) and a one-gamma ridge fit."""
+    fold_seed(seed, hidden nodes, fold), scores r = cp * m composed step by step here
+    rather than taken from the weighting pipeline the fold code shares, and a one-gamma
+    ridge fit."""
     assignment = stratified_k_fold(ds, k, seed)
     accs = []
     for f in range(k):
@@ -141,8 +145,12 @@ def per_config_fold_accuracies(ds, config, k, seed):
                                   fold_seed(seed, config.hidden_nodes, f))
         r = None
         if config.robust:
-            r = compute_contribution_scores(X_tr, ds.labels[tr], config.weighting,
-                                            CENTER_SCHEMES[config.variant]).r
+            w, y_tr = config.weighting, ds.labels[tr]
+            K = kernel_matrix(X_tr, X_tr, w.kernel)
+            dist = feature_space_distance_matrix(K)
+            cp = class_probability(y_tr, resolve_delta(dist, w), dist)
+            geometry = build_class_geometry(y_tr, K, CENTER_SCHEMES[config.variant])
+            r = cp * huber_weights(y_tr, geometry, w.tau_multiplier)
         (W2,) = fit_output_weights(forward(X_tr, layer, config),
                                    one_hot(ds.labels[tr], ds.n_classes), r, (config.gamma,))
         accs.append(accuracy(np.argmax(forward(X_te, layer, config) @ W2, axis=1), ds.labels[te]))
@@ -177,7 +185,8 @@ class TestSharedRidgePath:
         self.assert_cells_match_oracle(ds, variant, grid, jobs=2)
 
     def test_one_layer_per_hidden_count_one_gram_per_weighting(self, rng, monkeypatch):
-        calls = {"layer": 0, "gram": 0, "factorization": 0, "geometry": 0}
+        calls = {"layer": 0, "gram": 0, "factorization": 0, "geometry": 0, "kernel": 0,
+                 "huber": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -191,8 +200,11 @@ class TestSharedRidgePath:
             monkeypatch.setattr(rvflkit.solver, name, counting("gram", getattr(rvflkit.solver, name)))
         monkeypatch.setattr(rvflkit.solver, "_spd_solve",
                             counting("factorization", rvflkit.solver._spd_solve))
-        monkeypatch.setattr(rvflkit.evaluate, "build_class_geometry",
-                            counting("geometry", rvflkit.evaluate.build_class_geometry))
+        # each function is counted where its caller looks it up
+        for module, name, key in ((rvflkit.weighting, "build_class_geometry", "geometry"),
+                                  (rvflkit.weighting, "kernel_matrix", "kernel"),
+                                  (rvflkit.evaluate, "huber_weights", "huber")):
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
         ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
         grid = self.GRID
         res = grid_search(ds, "r2vfl-m", grid, jobs=1)
@@ -201,8 +213,11 @@ class TestSharedRidgePath:
         assert calls["layer"] == len(grid.hidden_grid) * grid.k
         assert calls["gram"] == len(grid.hidden_grid) * weightings * grid.k
         assert calls["factorization"] == len(res.trace) * grid.k
-        # the class geometry does not depend on tau: one per (kernel gamma, fold)
+        # K and the class geometry do not depend on tau: one per (kernel gamma, fold);
+        # the Huber weights are recomputed per (hidden count, weighting, fold)
         assert calls["geometry"] == len(grid.kernel_grid) * grid.k
+        assert calls["kernel"] == len(grid.kernel_grid) * grid.k
+        assert calls["huber"] == len(grid.hidden_grid) * weightings * grid.k
 
     def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
         def fail(*args, **kwargs):

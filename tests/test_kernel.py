@@ -82,6 +82,14 @@ class TestFeatureSpaceDistance:
         assert D[0, 1] == pytest.approx(feature_space_distance(x, y, P1), abs=1e-12)
         assert D[0, 0] <= 1e-12
 
+    @pytest.mark.parametrize("l", [255, 256, 257, 600])
+    def test_row_blocks_equal_whole_matrix_formula(self, rng, l):
+        A = rng.random((l, l))
+        K = A + A.T
+        d = np.diag(K)
+        expected = np.sqrt(np.clip(d[:, None] + d[None, :] - 2.0 * K, 0.0, None))
+        np.testing.assert_array_equal(feature_space_distance_matrix(K), expected)
+
 
 class TestCenters:
     def test_singleton_class_distance_zero(self):
@@ -152,7 +160,8 @@ class TestGeometry:
                 y[:2] = [0, 1]
                 K = kernel_matrix(X, X, P1)
                 geo = build_class_geometry(y, K, scheme)
-                for j, idx in enumerate(geo.class_indices):
+                for j in range(geo.radii.size):
+                    idx = np.flatnonzero(y == j)
                     assert np.all(geo.distances[idx] <= geo.radii[j] + 1e-12)
 
     def test_average_center_against_polynomial_feature_map_oracle(self, rng):

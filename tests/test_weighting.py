@@ -109,6 +109,14 @@ class TestResolveDelta:
         with pytest.raises(WeightingError):
             resolve_delta(np.zeros((1, 1)), WeightingConfig(kernel=KP))
 
+    @pytest.mark.parametrize("l", [2, 3, 7, 100])
+    def test_equals_quantile_of_upper_triangle_pairs(self, rng, l):
+        A = rng.random((l, l))
+        dist = A + A.T
+        for q in (0.01, 0.25, 0.5, 0.6, 0.99):
+            expected = np.quantile(dist[np.triu_indices(l, 1)], q)
+            assert resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=q)) == expected
+
     def test_config_validation(self):
         with pytest.raises(WeightingError):
             WeightingConfig(kernel=KP, delta=-1.0)
