@@ -6,6 +6,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,6 +118,13 @@ def _load_dataset(args, overlay, source):
                     name=_resolve(args, overlay, "name", None, source))
 
 
+def _finite(cell: str, path) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise DataError(f"{path}: {cell!r} is not a finite number")
+    return x
+
+
 def _read_table(path) -> BenchmarkTable:
     rows = _csv_records(_read_text(path), path)
     if not rows:
@@ -127,7 +135,7 @@ def _read_table(path) -> BenchmarkTable:
         if len(r) != len(header):
             raise DataError(f"{path}: row {r[0]!r} has {len(r)} fields; "
                             f"the header has {len(header)}")
-    acc = np.array([[float(x) for x in r[1:]] for r in body])
+    acc = np.array([[_finite(x, path) for x in r[1:]] for r in body])
     return BenchmarkTable.from_accuracy(header[1:], [r[0] for r in body], acc)
 
 
@@ -138,7 +146,7 @@ def _read_ranks(path):
     if len(rows[1]) != len(rows[0]):
         raise DataError(f"{path}: the rank row has {len(rows[1])} fields; "
                         f"the header has {len(rows[0])}")
-    return rows[0], np.array([float(x) for x in rows[1]])
+    return rows[0], np.array([_finite(x, path) for x in rows[1]])
 
 
 def _emit(payload: dict, fmt: str):

@@ -24,13 +24,13 @@ import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
 from .kernel import KernelParams
 from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
+from .stats import rankdata
 from .weighting import WeightingConfig, contribution_scores, huber_weights, kernel_scores
 
 
@@ -237,9 +237,9 @@ class BenchmarkTable:
         acc = np.asarray(accuracy, dtype=np.float64)
         if acc.size == 0:
             raise ValueError("empty benchmark table")
-        if np.any(np.isnan(acc)):
-            raise ValueError("benchmark table contains NaN accuracies")
-        rank = np.vstack([scipy.stats.rankdata(-row, method="average") for row in acc])
+        if not np.isfinite(acc).all():
+            raise ValueError("benchmark table contains non-finite accuracies")
+        rank = np.vstack([rankdata(-row) for row in acc])
         return cls(tuple(model_names), tuple(dataset_names), acc, rank)
 
 

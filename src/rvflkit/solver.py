@@ -16,9 +16,11 @@ import ctypes
 import functools
 import glob
 import os
+import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # (package, symbol suffix) of the OpenBLAS builds bundled in the numpy and scipy wheels
 _OPENBLAS_BUILDS = ((np, "64_"), (scipy, ""))
@@ -64,18 +66,33 @@ def single_blas_thread():
 
 
 def _spd_solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a pivoted-LU fallback for severely ill-conditioned G."""
+    """Cholesky solve with a pivoted-LU fallback for severely ill-conditioned G.
+
+    LAPACK potrf/potrs are called with the flags ``cho_factor``/``cho_solve`` pass
+    them, without those wrappers' per-call checks. Neither may overwrite its input:
+    the fallback needs G, and ``rhs`` is shared by every gamma.
+    """
+    c, info = dpotrf(G, lower=0, clean=0)
+    if info == 0:
+        x, info = dpotrs(c, rhs, lower=0)
+        if info == 0:
+            return x
     try:
-        c, low = scipy.linalg.cho_factor(G, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
-    try:
-        lu, piv = scipy.linalg.lu_factor(G, check_finite=False)
+        with warnings.catch_warnings():
+            # lu_factor only warns of an exactly zero pivot, whose solve is inf or nan
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(G, check_finite=False)
         return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning, ValueError) as exc:
         cond = np.linalg.cond(G)
         raise SolverError(f"factorization failed (condition number ~{cond:.3e})") from exc
+
+
+def _ridge(G: np.ndarray, g: float) -> np.ndarray:
+    """G + I/g as a new array; G is shared by every gamma and stays as it is."""
+    A = G.copy()
+    A.flat[::A.shape[0] + 1] += 1 / g
+    return A
 
 
 def _check_gammas(gammas) -> tuple:
@@ -91,9 +108,8 @@ def solve_primal(design, targets, gammas) -> list[np.ndarray]:
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
     gammas = _check_gammas(gammas)
-    d = D.shape[1]
     G, rhs = D.T @ D, D.T @ Y
-    return [_spd_solve(G + np.eye(d) / g, rhs) for g in gammas]
+    return [_spd_solve(_ridge(G, g), rhs) for g in gammas]
 
 
 def solve_dual(design, targets, gammas) -> list[np.ndarray]:
@@ -102,9 +118,8 @@ def solve_dual(design, targets, gammas) -> list[np.ndarray]:
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
     gammas = _check_gammas(gammas)
-    l = D.shape[0]
     G = D @ D.T
-    return [D.T @ _spd_solve(G + np.eye(l) / g, Y) for g in gammas]
+    return [D.T @ _spd_solve(_ridge(G, g), Y) for g in gammas]
 
 
 def solve_auto(design, targets, gammas) -> list[np.ndarray]:

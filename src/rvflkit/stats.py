@@ -5,11 +5,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtr
 
 
 class StatsError(ValueError):
     pass
+
+
+def rankdata(a) -> np.ndarray:
+    """Ranks 1..n of a 1-D array of finite values, each tie group given the mean of its
+    positions: ``scipy.stats.rankdata(a, method="average")`` without importing
+    ``scipy.stats``, which would take most of every command's start-up."""
+    a = np.asarray(a)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def _check_finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise StatsError(f"{what} must be finite numbers")
+    return values
 
 
 # Studentized-range-based critical values q_alpha / sqrt(2) for alpha = 0.05,
@@ -33,7 +54,7 @@ class FriedmanResult:
 
 def friedman(avg_ranks, n_datasets: int) -> FriedmanResult:
     """Friedman chi-square over average ranks, with the F-form correction."""
-    r = np.asarray(avg_ranks, dtype=np.float64)
+    r = _check_finite(avg_ranks, "average ranks")
     p = r.shape[0]
     D = int(n_datasets)
     if p < 2 or D < 2:
@@ -58,7 +79,7 @@ def nemenyi_cd(q_alpha: float, n_models: int, n_datasets: int) -> float:
 
 def nemenyi_table(avg_ranks, reference_index: int, cd: float) -> list[bool]:
     """Per-model flag: rank differs from the reference by strictly more than cd."""
-    r = np.asarray(avg_ranks, dtype=np.float64)
+    r = _check_finite(avg_ranks, "average ranks")
     if not 0 <= reference_index < r.shape[0]:
         raise StatsError(f"reference index {reference_index} out of range")
     if not cd > 0:
@@ -78,8 +99,8 @@ class WilcoxonResult:
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Paired signed-rank test: zero diffs dropped, |d| ranked with average ties,
     normal approximation on min(R+, R-)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _check_finite(a, "paired samples")
+    b = _check_finite(b, "paired samples")
     if a.shape != b.shape:
         raise StatsError("paired samples must have equal length")
     d = a - b
@@ -87,12 +108,12 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     n = d.shape[0]
     if n < 5:
         raise StatsError(f"need at least 5 nonzero differences, got {n}")
-    ranks = scipy.stats.rankdata(np.abs(d), method="average")
+    ranks = rankdata(np.abs(d))
     r_plus = float(ranks[d > 0].sum())
     r_minus = float(ranks[d < 0].sum())
     t = min(r_plus, r_minus)
     mean = n * (n + 1) / 4.0
     sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
     z = (t - mean) / sd
-    p = min(1.0, 2.0 * scipy.stats.norm.cdf(z))
+    p = min(1.0, 2.0 * ndtr(z))
     return WilcoxonResult(r_plus, r_minus, n, float(z), float(p))

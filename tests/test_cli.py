@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import rvflkit
 from rvflkit.cli import main
 from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
@@ -278,6 +283,10 @@ def _write(path, text):
     ("cv_oversized_cell", 2),
     ("table_oversized_cell", 2),
     ("ranks_oversized_cell", 2),
+    ("ranks_nan_friedman", 2),
+    ("ranks_nan_nemenyi", 2),
+    ("table_inf_wilcoxon", 2),
+    ("table_nan_friedman", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -344,6 +353,16 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
         "ranks_oversized_cell": ["stats", "nemenyi", "--datasets", "5", "--q-alpha", "2.3",
                                  "--ranks", _write(tmp_path / "long_ranks.csv",
                                                    f"a,b,{long_cell}\n1,2,3\n")],
+        "ranks_nan_friedman": ["stats", "friedman", "--datasets", "5", "--ranks", _write(
+            tmp_path / "nan_ranks.csv", "a,b,c\n1,nan,3\n")],
+        "ranks_nan_nemenyi": ["stats", "nemenyi", "--datasets", "5", "--ranks", _write(
+            tmp_path / "nan_ranks.csv", "a,b,c\n1,nan,3\n")],
+        "table_inf_wilcoxon": ["stats", "wilcoxon", "--a", "a", "--b", "b", "--table", _write(
+            tmp_path / "inf_table.csv",
+            "dataset,a,b\n" + "".join(f"d{i},{80 + i},{70 + i}\n" for i in range(6))
+            + "d6,inf,75\n")],
+        "table_nan_friedman": ["stats", "friedman", "--table", _write(
+            tmp_path / "nan_table.csv", "dataset,a,b\nd1,80,90\nd2,NaN,75\n")],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -377,7 +396,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "cv_kernel_gamma_inf": "kernel gamma", "cv_range_overflow": "feature column 0",
             "cv_empty_label": "empty label at row 2", "cv_oversized_cell": "long.csv, line 1",
             "table_oversized_cell": "long_table.csv, line 2",
-            "ranks_oversized_cell": "long_ranks.csv, line 1"}.get(case, "") in err
+            "ranks_oversized_cell": "long_ranks.csv, line 1",
+            "ranks_nan_friedman": "nan_ranks.csv: 'nan' is not a finite number",
+            "ranks_nan_nemenyi": "nan_ranks.csv: 'nan' is not a finite number",
+            "table_inf_wilcoxon": "inf_table.csv: 'inf' is not a finite number",
+            "table_nan_friedman": "nan_table.csv: 'NaN' is not a finite number"}.get(case, "") in err
 
 
 class TestStats:
@@ -425,6 +448,18 @@ class TestStats:
         code = main(["stats", "wilcoxon", "--table",
                      str(FIXTURES / "binary_uci_accuracy.csv"), "--a", "nope", "--b", "rvfl"])
         assert code == 1
+
+
+@pytest.mark.parametrize("module", ["rvflkit.cli", "rvflkit"])
+def test_import_loads_no_scipy_stats(module):
+    # scipy.stats would take about half of every command's start-up; nothing needs it
+    src = str(Path(rvflkit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout == "[]\n"  # also: the import prints nothing
 
 
 def test_help_available(capsys):

@@ -220,9 +220,6 @@ class TestSharedRidgePath:
         assert calls["huber"] == len(grid.hidden_grid) * weightings * grid.k
 
     def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("forced failure")
-
         lu_calls = []
         lu_factor = scipy.linalg.lu_factor
 
@@ -230,7 +227,8 @@ class TestSharedRidgePath:
             lu_calls.append(1)
             return lu_factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        # every potrf reports a leading minor that is not positive definite (info > 0)
+        monkeypatch.setattr(rvflkit.solver, "dpotrf", lambda a, **kwargs: (a, 1))
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
         ds = random_dataset(rng, n_samples=30, n_features=3)
         self.assert_cells_match_oracle(ds, "r2vfl-m", self.GRID)
@@ -317,3 +315,8 @@ class TestAverageRanks:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             BenchmarkTable.from_accuracy(["a", "b"], ["d"], [[np.nan, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            BenchmarkTable.from_accuracy(["a", "b"], ["d"], [[bad, 1.0]])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpotrf
 
+import rvflkit.solver
 from rvflkit.solver import SolverError, _spd_solve, solve_auto, solve_dual, solve_primal
 
 
@@ -120,6 +122,11 @@ class TestFactorizationFailure:
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("forced failure")
 
+    @staticmethod
+    def not_positive_definite(monkeypatch):
+        # LAPACK potrf's info > 0: a leading minor is not positive definite
+        monkeypatch.setattr(rvflkit.solver, "dpotrf", lambda a, **kwargs: (a, 1))
+
     def test_cholesky_failure_falls_back_to_lu(self, rng, monkeypatch):
         lu_calls = []
         lu_factor = scipy.linalg.lu_factor
@@ -128,7 +135,7 @@ class TestFactorizationFailure:
             lu_calls.append(1)
             return lu_factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", self.fail)
+        self.not_positive_definite(monkeypatch)
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
         D = rng.normal(size=(6, 3))
         Y = rng.normal(size=(6, 2))
@@ -137,9 +144,21 @@ class TestFactorizationFailure:
         assert len(lu_calls) == 2
 
     def test_lu_failure_raises_with_condition_estimate(self, rng, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "cho_factor", self.fail)
+        self.not_positive_definite(monkeypatch)
         monkeypatch.setattr(scipy.linalg, "lu_factor", self.fail)
         D = rng.normal(size=(6, 3))
         for solve in (solve_primal, solve_dual):
             with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e[+-]\d+"):
                 solve(D, np.ones((6, 2)), [10.0])
+
+    def test_indefinite_matrix_is_solved_by_lu(self, rng):
+        G = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, -1.0], [0.5, -1.0, 3.0]])
+        assert dpotrf(G, lower=0, clean=0)[1] > 0  # Cholesky rejects it
+        rhs = rng.normal(size=(3, 2))
+        np.testing.assert_allclose(_spd_solve(G, rhs), np.linalg.solve(G, rhs), atol=1e-12)
+
+    def test_singular_matrix_raises_with_condition_estimate(self):
+        # rank 1: LU meets an exactly zero pivot, which lu_factor only warns of
+        G = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e\+\d+"):
+            _spd_solve(G, np.ones((2, 1)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from rvflkit.stats import Q_ALPHA_05, StatsError, friedman, nemenyi_cd, nemenyi_table, \
-    wilcoxon_signed_rank
+    rankdata, wilcoxon_signed_rank
 
 BINARY_RANKS = [8, 8.73, 5.27, 6.12, 6.62, 4.48, 5.05, 5, 3.22, 2.52]
 MULTICLASS_RANKS = [6.26, 7.35, 4.38, 5.53, 5.29, 4.59, 5.85, 2.88, 2.85]
@@ -117,3 +119,34 @@ def test_wilcoxon_rank_sum_property(seed):
     m = res.n_effective
     assert res.r_plus + res.r_minus == pytest.approx(m * (m + 1) / 2)
     assert 0 < res.p_value <= 1
+
+
+# a few values drawn often, so that most vectors hold ties, mixed with arbitrary floats
+TIE_POOL = st.sampled_from([-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(TIE_POOL, st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=60))
+def test_rankdata_equals_scipy_average_ranks(values):
+    ours = rankdata(np.array(values, dtype=np.float64))
+    expected = scipy.stats.rankdata(values, method="average")
+    assert ours.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(ours, expected)
+
+
+def test_ndtr_is_bit_equal_to_norm_cdf():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [-np.inf, np.inf, -0.0, 0.0]])
+    np.testing.assert_array_equal(ndtr(z).view(np.int64), scipy.stats.norm.cdf(z).view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(StatsError, match="finite"):
+        friedman([1.0, bad, 3.0], 5)
+    with pytest.raises(StatsError, match="finite"):
+        nemenyi_table([1.0, bad, 3.0], 0, 1.0)
+    a = np.arange(1.0, 8.0)
+    for x, y in ((np.r_[a, bad], np.r_[a - 1, 0.0]), (np.r_[a, 0.0], np.r_[a - 1, bad])):
+        with pytest.raises(StatsError, match="finite"):
+            wilcoxon_signed_rank(x, y)
