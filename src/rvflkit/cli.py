@@ -118,10 +118,14 @@ def _load_dataset(args, overlay, source):
                     name=_resolve(args, overlay, "name", None, source))
 
 
-def _finite(cell: str, path) -> float:
-    x = float(cell)
+def _finite(cell: str, path, row: str) -> float:
+    """A table or rank cell as a finite float; the error names the file, row and cell."""
+    try:
+        x = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: {cell!r} is not a number ({row})") from None
     if not math.isfinite(x):
-        raise DataError(f"{path}: {cell!r} is not a finite number")
+        raise DataError(f"{path}: {cell!r} is not a finite number ({row})")
     return x
 
 
@@ -135,7 +139,7 @@ def _read_table(path) -> BenchmarkTable:
         if len(r) != len(header):
             raise DataError(f"{path}: row {r[0]!r} has {len(r)} fields; "
                             f"the header has {len(header)}")
-    acc = np.array([[_finite(x, path) for x in r[1:]] for r in body])
+    acc = np.array([[_finite(x, path, f"row {r[0]!r}") for x in r[1:]] for r in body])
     return BenchmarkTable.from_accuracy(header[1:], [r[0] for r in body], acc)
 
 
@@ -146,7 +150,7 @@ def _read_ranks(path):
     if len(rows[1]) != len(rows[0]):
         raise DataError(f"{path}: the rank row has {len(rows[1])} fields; "
                         f"the header has {len(rows[0])}")
-    return rows[0], np.array([_finite(x, path) for x in rows[1]])
+    return rows[0], np.array([_finite(x, path, "rank row") for x in rows[1]])
 
 
 def _emit(payload: dict, fmt: str):

@@ -22,37 +22,70 @@ class KernelParams:
             raise KernelError(f"kernel gamma must be positive and finite, got {self.gamma!r}")
 
 
+# Rows per block of the elementwise l x l work: a block of K or of the distances, and
+# the same-shape temporary it needs, stay in cache while every step runs over them.
+ROW_BLOCK = 64
+
+
 def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     """Pairwise kernel values, entry (i, j) = K(A_i, B_j)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise KernelError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    sq = (np.sum(A * A, axis=1)[:, None]
-          + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * (A @ B.T))
-    np.clip(sq, 0.0, None, out=sq)
-    sq *= -params.gamma
-    return np.exp(sq, out=sq)
+    a2 = np.sum(A * A, axis=1)[:, None]
+    b2 = np.sum(B * B, axis=1)
+    # one whole GEMM (syrk when B is A): a row-blocked product would not be bit-equal
+    K = A @ B.T
+    tmp = np.empty((ROW_BLOCK, K.shape[1]))
+    for i in range(0, K.shape[0], ROW_BLOCK):
+        # (a2_i + b2_j) - 2 G_ij, clipped at 0, times -gamma, exponentiated
+        blk = K[i:i + ROW_BLOCK]
+        t = np.add(a2[i:i + ROW_BLOCK], b2, out=tmp[:blk.shape[0]])
+        blk *= 2.0
+        np.subtract(t, blk, out=blk)
+        np.clip(blk, 0.0, None, out=blk)
+        blk *= -params.gamma
+        np.exp(blk, out=blk)
+    return K
 
 
-def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
-    """Pairwise feature-space distances from a square kernel matrix K(X, X)."""
+def feature_space_distance_matrix(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise feature-space distances from a square kernel matrix K(X, X).
+
+    ``out`` may be K itself, which then holds the distances.
+    """
     K = np.asarray(K, dtype=np.float64)
-    diag = np.diag(K)
-    sq = diag[:, None] + diag[None, :]
-    for i in range(0, K.shape[0], 256):  # 2K a block of rows at a time: no l x l temporary
-        sq[i:i + 256] -= 2.0 * K[i:i + 256]
-    np.clip(sq, 0.0, None, out=sq)
-    return np.sqrt(sq, out=sq)
+    diag = np.diag(K).copy()
+    dist = np.empty_like(K) if out is None else out
+    tmp = np.empty((ROW_BLOCK, K.shape[1]))
+    for i in range(0, K.shape[0], ROW_BLOCK):
+        # sqrt of (K_ii + K_jj) - 2 K_ij, clipped at 0; K's block is read before out
+        # may overwrite it
+        k_blk = K[i:i + ROW_BLOCK]
+        twice = np.multiply(k_blk, 2.0, out=tmp[:k_blk.shape[0]])
+        blk = np.add(diag[i:i + ROW_BLOCK, None], diag, out=dist[i:i + ROW_BLOCK])
+        blk -= twice
+        np.clip(blk, 0.0, None, out=blk)
+        np.sqrt(blk, out=blk)
+    return dist
 
 
 def median_center(K_class: np.ndarray) -> np.ndarray:
-    """Component-wise median over the class's kernel rows K(G_j, G_j)."""
+    """Component-wise median over the class's kernel rows K(G_j, G_j).
+
+    Equal, bit for bit, to ``np.median(K_class, axis=0)`` on NaN-free input, with one
+    partition pivot where ``np.median`` uses two or three: for an even count the lower
+    middle value is the largest entry below the pivot.
+    """
     K_class = np.asarray(K_class, dtype=np.float64)
     if K_class.shape[0] == 0:
         raise KernelError("empty class")
-    return np.median(K_class, axis=0)
+    h = K_class.shape[0] // 2
+    P = np.partition(K_class, h, axis=0)
+    if K_class.shape[0] % 2:
+        return P[h].copy()  # not a view that keeps P alive
+    return (np.max(P[:h], axis=0) + P[h]) / 2
 
 
 @dataclass(frozen=True)
@@ -85,8 +118,10 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
             sq = np.diag(K)[idx] - 2.0 / idx.size * block.sum(axis=1) + const
             d = np.sqrt(np.clip(sq, 0.0, None))
         else:
-            center = median_center(block)
-            d = np.linalg.norm(block - center[None, :], axis=1)
+            # np.linalg.norm(block - center, axis=1), computed in the block itself
+            block -= median_center(block)
+            block *= block
+            d = np.sqrt(np.add.reduce(block, axis=1))
         distances[idx] = d
         radii[j] = d.max()
     return ClassGeometry(radii, distances)

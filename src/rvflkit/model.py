@@ -2,7 +2,9 @@
 
 Every fit and scoring pass, in ``train``/``predict`` and in the CV fold code,
 maps normalized inputs to the design matrix with ``forward`` and solves the
-(r-weighted) ridge problem with ``fit_output_weights``.
+(r-weighted) ridge problem with ``fit_output_weights``. All of them run with one
+BLAS thread (``solver.single_blas_thread``), so their results do not depend on
+the core count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.special import expit
 
 from .data import Dataset, NormalizationParams, apply_normalization, fit_normalization, one_hot
 from .kernel import KernelParams
-from .solver import solve_auto
+from .solver import single_blas_thread, solve_auto
 from .weighting import ContributionScores, WeightingConfig, compute_contribution_scores
 
 VARIANTS = ("rvfl", "elm", "r2vfl-a", "r2vfl-m")
@@ -147,6 +149,7 @@ class TrainedModel:
         return self.random_layer.input_weights.shape[0]
 
 
+@single_blas_thread()
 def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
     """Fit one model: normalize, project, (optionally) weight, ridge-solve."""
     norm = fit_normalization(dataset.features)
@@ -162,6 +165,7 @@ def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
     return TrainedModel(layer, W2, norm, config, dataset.class_names, scores)
 
 
+@single_blas_thread()
 def predict_scores(model: TrainedModel, X_raw) -> np.ndarray:
     X = np.asarray(X_raw, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:

@@ -3,10 +3,14 @@
 Each solve takes a sequence of ridge gammas: the Gram matrix is formed once and
 factorized once per gamma, which gives every gamma the result of a solve of its own.
 
-``single_blas_thread`` runs a block with one OpenBLAS thread. The CV and grid
-fold code fits thousands of small ridge problems (a few hundred columns), on
-which a multithreaded ``D.T @ D`` and Cholesky are many times slower than a
-single-threaded one; more cores are used through worker processes instead.
+``single_blas_thread`` runs a block with one OpenBLAS thread. Every fit and
+prediction runs under it: ``train``, ``predict_scores`` and the CV and grid fold
+code. A BLAS result can depend on the thread count, and this way it does not
+depend on the machine's cores. It is also faster here: the fold code fits
+thousands of small ridge problems (a few hundred columns), on which a
+multithreaded ``D.T @ D`` and Cholesky are many times slower than a
+single-threaded one, and the O(l^2) weighting is numpy elementwise work. More
+cores are used through worker processes instead.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ClassGeometry, KernelParams, build_class_geometry, \
+from .kernel import ROW_BLOCK, ClassGeometry, KernelParams, build_class_geometry, \
     feature_space_distance_matrix, kernel_matrix
 
 
@@ -56,18 +56,94 @@ class ContributionScores:
     r: np.ndarray
 
 
+# Floyd & Rivest's selection (CACM 18(3), 1975): a sorted random sample of the pairs
+# brackets the order statistics that delta needs; only the pairs inside the bracket
+# are collected and partitioned. Matrices with at most this many pairs skip it.
+DELTA_SAMPLE = 40_000
+
+
+def _upper_triangle_blocks(dist: np.ndarray):
+    """The entries above the diagonal of a square matrix, a block of rows at a time:
+    for each block, the rectangle right of its diagonal square, then the entries
+    above the diagonal inside that square."""
+    l = dist.shape[0]
+    upper = np.arange(ROW_BLOCK)[:, None] < np.arange(ROW_BLOCK)
+    for i in range(0, l, ROW_BLOCK):
+        j = min(i + ROW_BLOCK, l)
+        yield dist[i:j, j:]
+        yield dist[i:j, i:j][upper[:j - i, :j - i]]
+
+
+def _pair_sample(dist: np.ndarray, size: int) -> np.ndarray:
+    """Sorted sample, with replacement and a fixed seed, of the entries above the
+    diagonal: each is (min(i, j), max(i, j)) of an ordered pair drawn uniformly."""
+    l = dist.shape[0]
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, l, size)
+    j = rng.integers(0, l - 1, size)
+    j += j >= i
+    return np.sort(dist[np.minimum(i, j), np.maximum(i, j)])
+
+
+def _bracketed_order_statistics(dist: np.ndarray, ranks):
+    """Entries of the given ranks (0-based, ascending) among the l(l-1)/2 entries above
+    the diagonal, or None when the sample's bracket misses one or an entry is NaN."""
+    n = dist.shape[0] * (dist.shape[0] - 1) // 2
+    sample = _pair_sample(dist, DELTA_SAMPLE)
+    # sample ranks beyond each target: 6 standard deviations or more, as the count of
+    # sample entries below a population quantile p has sd sqrt(S p (1 - p)) <= sqrt(S) / 2
+    margin = 3.0 * np.sqrt(DELTA_SAMPLE)
+    lo_at = int(np.floor(ranks[0] * DELTA_SAMPLE / n - margin))
+    hi_at = int(np.ceil((ranks[-1] + 1) * DELTA_SAMPLE / n + margin))
+    lo = sample[lo_at] if lo_at >= 0 else -np.inf
+    hi = sample[hi_at] if hi_at < DELTA_SAMPLE else np.inf
+    below = above = 0
+    inside = []
+    for X in _upper_triangle_blocks(dist):
+        ge, le = X >= lo, X <= hi
+        below += X.size - np.count_nonzero(ge)
+        above += X.size - np.count_nonzero(le)
+        inside.append(X[ge & le])
+    inside = np.concatenate(inside)
+    # a NaN is neither >= lo nor <= hi, so it is counted both below and above
+    if below + inside.size + above != n or not below <= ranks[0] <= ranks[-1] < below + inside.size:
+        return None
+    kth = [r - below for r in ranks]
+    inside.partition(kth)
+    return inside[kth]
+
+
 def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
-    """Neighborhood radius: the absolute delta, or a quantile of the pairwise distances."""
+    """Neighborhood radius: the absolute delta, or a quantile of the pairwise distances.
+
+    The quantile equals ``np.quantile`` (linear method) of the entries above the
+    diagonal, bit for bit, without copying them all.
+    """
     if config.delta is not None:
         return float(config.delta)
-    if dist.shape[0] < 2:
-        raise WeightingError("need at least 2 samples to resolve delta from pairwise distances")
-    # a boolean mask selects the same pairs in the same order as np.triu_indices, without
-    # its two int64 index arrays of l(l-1)/2 entries; pair is ours, so it is partitioned
-    # in place rather than copied
     l = dist.shape[0]
-    pair = dist[np.arange(l)[:, None] < np.arange(l)]
-    return float(np.quantile(pair, config.delta_quantile, overwrite_input=True))
+    if l < 2:
+        raise WeightingError("need at least 2 samples to resolve delta from pairwise distances")
+    n = l * (l - 1) // 2
+    q = config.delta_quantile
+    # np.quantile's virtual index and its neighbours; -1 is the last entry
+    v = (n - 1) * q
+    prev = -1 if v >= n - 1 else int(np.floor(v))
+    nxt = -1 if prev == -1 else prev + 1
+    found = None
+    if n > DELTA_SAMPLE:
+        found = _bracketed_order_statistics(dist, [prev % n, nxt % n])
+    if found is None:
+        # every pair, selected by a boolean mask in np.triu_indices' order
+        pair = dist[np.arange(l)[:, None] < np.arange(l)]
+        return float(np.quantile(pair, q, overwrite_input=True))
+    # np.quantile's linear interpolation (numpy's _lerp), with t = v - prev
+    a, b = found
+    t = v - prev
+    diff = b - a
+    if t >= 0.5:
+        return float(b - diff * (1 - t))
+    return float(a + diff * t)
 
 
 def class_probability(labels, delta: float, dist: np.ndarray) -> np.ndarray:
@@ -76,10 +152,13 @@ def class_probability(labels, delta: float, dist: np.ndarray) -> np.ndarray:
     The sample itself counts in both numerator and denominator, so cp > 0.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    within = dist <= delta
-    same = labels[:, None] == labels[None, :]
-    denom = within.sum(axis=1)
-    numer = (within & same).sum(axis=1)
+    denom = np.empty(dist.shape[0], dtype=np.int64)
+    numer = np.empty(dist.shape[0], dtype=np.int64)
+    for i in range(0, dist.shape[0], ROW_BLOCK):
+        within = dist[i:i + ROW_BLOCK] <= delta
+        denom[i:i + ROW_BLOCK] = np.count_nonzero(within, axis=1)
+        within &= labels[i:i + ROW_BLOCK, None] == labels
+        numer[i:i + ROW_BLOCK] = np.count_nonzero(within, axis=1)
     return numer / denom
 
 
@@ -106,11 +185,14 @@ def contribution_scores(cp, m) -> ContributionScores:
 def kernel_scores(features, labels, config: WeightingConfig,
                   scheme: str) -> tuple[np.ndarray, ClassGeometry]:
     """cp and the class geometry on normalized training features: the part of the
-    weighting that does not depend on tau. K and the distance matrix are freed on return."""
+    weighting that does not depend on tau. The class geometry reads K first, then the
+    distance matrix takes K's place, so one l x l array is held at a time; it is freed
+    on return."""
     K = kernel_matrix(features, features, config.kernel)
-    dist = feature_space_distance_matrix(K)
+    geometry = build_class_geometry(labels, K, scheme)
+    dist = feature_space_distance_matrix(K, out=K)
     cp = class_probability(labels, resolve_delta(dist, config), dist)
-    return cp, build_class_geometry(labels, K, scheme)
+    return cp, geometry
 
 
 def compute_contribution_scores(features, labels, config: WeightingConfig,

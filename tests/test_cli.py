@@ -287,6 +287,8 @@ def _write(path, text):
     ("ranks_nan_nemenyi", 2),
     ("table_inf_wilcoxon", 2),
     ("table_nan_friedman", 2),
+    ("ranks_text_cell", 2),
+    ("table_empty_cell", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -363,6 +365,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             + "d6,inf,75\n")],
         "table_nan_friedman": ["stats", "friedman", "--table", _write(
             tmp_path / "nan_table.csv", "dataset,a,b\nd1,80,90\nd2,NaN,75\n")],
+        "ranks_text_cell": ["stats", "friedman", "--datasets", "5", "--ranks", _write(
+            tmp_path / "text_ranks.csv", "a,b,c\n1,x2,3\n")],
+        "table_empty_cell": ["stats", "friedman", "--table", _write(
+            tmp_path / "blank_cell.csv", "dataset,a,b\nd1,80,90\nd2,,75\n")],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -400,7 +406,9 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "ranks_nan_friedman": "nan_ranks.csv: 'nan' is not a finite number",
             "ranks_nan_nemenyi": "nan_ranks.csv: 'nan' is not a finite number",
             "table_inf_wilcoxon": "inf_table.csv: 'inf' is not a finite number",
-            "table_nan_friedman": "nan_table.csv: 'NaN' is not a finite number"}.get(case, "") in err
+            "table_nan_friedman": "nan_table.csv: 'NaN' is not a finite number",
+            "ranks_text_cell": "text_ranks.csv: 'x2' is not a number (rank row)",
+            "table_empty_cell": "blank_cell.csv: '' is not a number (row 'd2')"}.get(case, "") in err
 
 
 class TestStats:
@@ -466,3 +474,27 @@ def test_help_available(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_train_and_predict_do_not_depend_on_blas_threads(tmp_path):
+    # a 150-row robust model: big enough that a 2-thread OpenBLAS splits its products
+    ds = gaussian_blobs(75, seed=5, n_features=5, flip_fraction=0.1)
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                 for x, y in zip(ds.features, ds.labels))
+    src = str(Path(rvflkit.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        stdout = [subprocess.run([sys.executable, "-m", "rvflkit.cli", *argv], cwd=run_dir,
+                                 env=env, capture_output=True, text=True, timeout=120,
+                                 check=True).stdout
+                  for argv in (["train", "--data", str(data), "--variant", "r2vfl-m",
+                                "--hidden", "203", "--out", "model.bin"],
+                               ["predict", "--data", str(data), "--model", "model.bin"])]
+        outputs.append(((run_dir / "model.bin").read_bytes(), stdout))
+    assert outputs[0] == outputs[1]

@@ -13,7 +13,7 @@ from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate,
 from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
     kernel_matrix
 from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
-    init_random_layer, train
+    init_random_layer, predict_scores, train
 from rvflkit.weighting import WeightingConfig, class_probability, huber_weights, resolve_delta
 from conftest import random_dataset
 
@@ -237,7 +237,8 @@ class TestSharedRidgePath:
 
 
 class TestSingleBlasThread:
-    """The CV and grid fold code fits with one OpenBLAS thread; train keeps the default."""
+    """Every fit and prediction runs with one OpenBLAS thread: the CV and grid fold
+    code, train and predict_scores."""
 
     GRID = GridSpec(gamma_grid=(1.0, 10.0), hidden_grid=(5,), kernel_grid=(1.0,),
                     tau_grid=(1.0,), k=2, seed=0)
@@ -284,10 +285,47 @@ class TestSingleBlasThread:
         assert seen == [(1,) * len(before)]
         assert blas_threads() == before
 
-    def test_train_keeps_default_threads(self, rng, seen, blas_threads):
+    @pytest.fixture
+    def seen_projection(self, monkeypatch, blas_threads):
+        """Thread counts recorded at every hidden-layer projection."""
+        counts = []
+        real = rvflkit.model.hidden_matrix
+
+        def recording(*args, **kwargs):
+            counts.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rvflkit.model, "hidden_matrix", recording)
+        return counts
+
+    def test_train_and_predict_one_thread_inside_then_restored(self, rng, seen, seen_projection,
+                                                               blas_threads):
         before = blas_threads()
-        train(random_dataset(rng, n_samples=20, n_classes=2), self.CONFIG)
-        assert seen == [before]
+        ds = random_dataset(rng, n_samples=20, n_classes=2)
+        model = train(ds, self.CONFIG)
+        predict_scores(model, ds.features)
+        one = (1,) * len(before)
+        assert seen == [one] and seen_projection == [one, one]
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("how", ["train", "predict"])
+    def test_train_and_predict_restore_when_they_raise(self, how, rng, blas_threads, monkeypatch):
+        ds = random_dataset(rng, n_samples=20, n_classes=2)
+        model = train(ds, self.CONFIG)
+        inside = []
+
+        def failing(*args, **kwargs):
+            inside.append(blas_threads())
+            raise RuntimeError("projection failed")
+
+        monkeypatch.setattr(rvflkit.model, "hidden_matrix", failing)
+        before = blas_threads()
+        with pytest.raises(RuntimeError, match="projection failed"):
+            if how == "train":
+                train(ds, self.CONFIG)
+            else:
+                predict_scores(model, ds.features)
+        assert inside == [(1,) * len(before)]
         assert blas_threads() == before
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rvflkit.kernel import KernelError, KernelParams, build_class_geometry, \
+from rvflkit.kernel import ROW_BLOCK, KernelError, KernelParams, build_class_geometry, \
     feature_space_distance_matrix, kernel_matrix, median_center
 from conftest import feature_space_distance, rbf_kernel
 
@@ -56,6 +56,16 @@ class TestKernelMatrix:
         for i, j in itertools.product(range(3), range(2)):
             assert K[i, j] == pytest.approx(rbf_kernel(A[i], B[j], P1))
 
+    @pytest.mark.parametrize("l", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+    def test_row_blocks_equal_whole_matrix_formula(self, rng, l):
+        A = rng.normal(size=(l, 7))
+        B = rng.normal(size=(l + 3, 7))
+        for X, Y in ((A, A), (A, B)):   # A with itself takes numpy's syrk path
+            sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
+                  - 2.0 * (X @ Y.T))
+            expected = np.exp(-0.3 * np.clip(sq, 0.0, None))
+            np.testing.assert_array_equal(kernel_matrix(X, Y, KernelParams(0.3)), expected)
+
 
 def distances(X, params=P1):
     return feature_space_distance_matrix(kernel_matrix(X, X, params))
@@ -82,13 +92,15 @@ class TestFeatureSpaceDistance:
         assert D[0, 1] == pytest.approx(feature_space_distance(x, y, P1), abs=1e-12)
         assert D[0, 0] <= 1e-12
 
-    @pytest.mark.parametrize("l", [255, 256, 257, 600])
+    @pytest.mark.parametrize("l", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 255, 256, 257, 600])
     def test_row_blocks_equal_whole_matrix_formula(self, rng, l):
         A = rng.random((l, l))
         K = A + A.T
         d = np.diag(K)
         expected = np.sqrt(np.clip(d[:, None] + d[None, :] - 2.0 * K, 0.0, None))
         np.testing.assert_array_equal(feature_space_distance_matrix(K), expected)
+        # in K's own buffer
+        np.testing.assert_array_equal(feature_space_distance_matrix(K, out=K), expected)
 
 
 class TestCenters:
@@ -116,6 +128,17 @@ class TestCenters:
         assert median_center(col3)[0] == pytest.approx(0.5)
         col2 = np.array([[0.2], [0.8]])
         assert median_center(col2)[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 9, 100, 101, 1000, 1001])
+    def test_median_center_equals_np_median_bit_for_bit(self, rng, rows, ties):
+        # with ties, few distinct values span the middle of every column; a square class
+        # block of 1000 rows has columns where the entry left of a one-pivot partition's
+        # pivot is not the lower middle value
+        shape = (rows, max(rows, 11))
+        K = rng.integers(0, 4, size=shape) / 3.0 if ties else rng.random(shape)
+        np.testing.assert_array_equal(median_center(K), np.median(K, axis=0))
+        assert median_center(K).tobytes() == np.median(K, axis=0).tobytes()
 
     def test_median_permutation_invariance(self, rng):
         K = rng.uniform(size=(5, 5))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,11 +119,73 @@ class TestResolveDelta:
             expected = np.quantile(dist[np.triu_indices(l, 1)], q)
             assert resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=q)) == expected
 
+    def test_interpolation_between_distant_neighbours(self, rng):
+        # the two order statistics straddle a gap, so both of numpy's interpolation
+        # formulas matter: a + (b - a) t below t = 1/2 and b - (b - a)(1 - t) from it on
+        l = 400
+        n = l * (l - 1) // 2
+        dist = 0.2 + rng.random((l, l))
+        upper = np.triu_indices(l, 1)
+        low = rng.random(n) < 0.5
+        dist[upper] = np.where(low, 0.1 * dist[upper], 1.0 + dist[upper])
+        k = int(low.sum())  # pairs below the gap; ranks k - 1 and k straddle it
+        for t in np.linspace(0.01, 0.99, 99):
+            q = (k - 1 + t) / (n - 1)
+            expected = np.quantile(dist[upper], q)
+            got = resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=float(q)))
+            assert np.float64(got).tobytes() == expected.tobytes(), q
+
+    def test_large_matrix_takes_the_bracket(self, rng):
+        l = 400  # 79 800 pairs: more than the sample
+        dist = dist_matrix(rng.normal(size=(l, 3)))
+        assert l * (l - 1) // 2 > weighting.DELTA_SAMPLE
+        ranks = [39_899, 39_900]
+        found = weighting._bracketed_order_statistics(dist, ranks)
+        np.testing.assert_array_equal(found, np.sort(dist[np.triu_indices(l, 1)])[ranks])
+
+    def test_bracket_miss_falls_back_to_every_pair(self, rng, monkeypatch):
+        # a sample of the largest entry brackets nothing below it
+        monkeypatch.setattr(weighting, "_pair_sample", lambda dist, size: np.full(size, dist.max()))
+        misses = []
+        real = weighting._bracketed_order_statistics
+
+        def spy(*args):
+            misses.append(real(*args) is None)
+            return None
+
+        monkeypatch.setattr(weighting, "_bracketed_order_statistics", spy)
+        l = 300
+        dist = dist_matrix(rng.normal(size=(l, 3)))
+        expected = np.quantile(dist[np.triu_indices(l, 1)], 0.37)
+        assert resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=0.37)) == expected
+        assert misses == [True]
+
+    def test_nan_gives_nan_like_np_quantile(self, rng):
+        dist = rng.random((300, 300))
+        dist[5, 200] = np.nan
+        assert np.isnan(resolve_delta(dist, WeightingConfig(kernel=KP)))
+
     def test_config_validation(self):
         with pytest.raises(WeightingError):
             WeightingConfig(kernel=KP, delta=-1.0)
         with pytest.raises(WeightingError):
             WeightingConfig(kernel=KP, tau_multiplier=1.5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), l=st.integers(2, 400),
+       distinct=st.sampled_from([1, 2, 3, 5, 40, None]),
+       q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       sample=st.sampled_from([weighting.DELTA_SAMPLE, 50, 2_000]))
+def test_delta_equals_np_quantile_bit_for_bit(seed, l, distinct, q, sample):
+    # tie-heavy or continuous, not symmetric, nonzero diagonal; small samples take the
+    # bracket at small l
+    rng = np.random.default_rng(seed)
+    dist = rng.random((l, l)) if distinct is None else rng.integers(0, distinct, (l, l)) / distinct
+    expected = np.quantile(dist[np.triu_indices(l, 1)], q)
+    with mock.patch.object(weighting, "DELTA_SAMPLE", sample):
+        got = resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=q))
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,9 +216,9 @@ def test_robust_train_builds_distance_matrix_once(rng, monkeypatch, variant):
     calls = []
     original = weighting.feature_space_distance_matrix
 
-    def counting(K):
+    def counting(K, **kwargs):
         calls.append(K.shape)
-        return original(K)
+        return original(K, **kwargs)
 
     monkeypatch.setattr(weighting, "feature_space_distance_matrix", counting)
     ds = random_dataset(rng, n_samples=20)
