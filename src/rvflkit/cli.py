@@ -15,13 +15,11 @@ import numpy as np
 from .data import DataError, _csv_records, _read_text, load_csv, read_features
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
     grid_search
-from .kernel import KernelParams
-from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, ModelError, load_model, \
-    predict, save_model, train
+from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
+    save_model, train
 from .solver import SolverError
-from .stats import Q_ALPHA_05, StatsError, friedman, nemenyi_cd, nemenyi_table, \
-    wilcoxon_signed_rank
-from .weighting import WeightingConfig, WeightingError
+from .stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
+from .weighting import KernelParams, WeightingConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -259,6 +257,15 @@ def cmd_grid(args):
     return EXIT_OK
 
 
+def _write_named_rows(path, header, rows):
+    """A CSV file: the header row, then per (name, values) pair the name and the values
+    to 4 decimals."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([name] + [f"{v:.4f}" for v in values] for name, values in rows)
+
+
 def cmd_bench(args):
     manifest = _load_overlay(args.manifest)
     entries = manifest.get("datasets")
@@ -279,19 +286,11 @@ def cmd_bench(args):
     table = BenchmarkTable.from_accuracy(models, dataset_names, np.array(rows))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    avg_rank = average_ranks(table)
-    with open(outdir / "accuracy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset"] + list(models))
-        for name, row in zip(dataset_names, table.accuracy):
-            writer.writerow([name] + [f"{a:.4f}" for a in row])
-        writer.writerow(["Average Accuracy"] + [f"{a:.4f}" for a in table.accuracy.mean(axis=0)])
-        writer.writerow(["Average Rank"] + [f"{r:.4f}" for r in avg_rank])
-    with open(outdir / "ranks.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset"] + list(models))
-        for name, row in zip(dataset_names, table.rank):
-            writer.writerow([name] + [f"{r:.4f}" for r in row])
+    header = ["dataset"] + list(models)
+    _write_named_rows(outdir / "accuracy.csv", header, [
+        *zip(dataset_names, table.accuracy), ("Average Accuracy", table.accuracy.mean(axis=0)),
+        ("Average Rank", average_ranks(table))])
+    _write_named_rows(outdir / "ranks.csv", header, zip(dataset_names, table.rank))
     print(f"wrote {outdir / 'accuracy.csv'} and {outdir / 'ranks.csv'}")
     return EXIT_OK
 
@@ -469,8 +468,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ModelError, WeightingError, StatsError, OSError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # rvflkit's input errors and JSON's are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, FloatingPointError) as exc:

@@ -285,9 +285,7 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     fold = np.empty(l, dtype=np.int64)
     offset = 0  # rotates across classes so small classes don't pile into fold 0
     for c in range(dataset.n_classes):
-        idx = np.flatnonzero(dataset.labels == c)
-        idx = rng.permutation(idx)
-        for i, sample in enumerate(idx):
-            fold[sample] = (offset + i) % k
-        offset = (offset + len(idx)) % k
+        idx = rng.permutation(np.flatnonzero(dataset.labels == c))
+        fold[idx] = (offset + np.arange(idx.size)) % k
+        offset = (offset + idx.size) % k
     return FoldAssignment(fold)

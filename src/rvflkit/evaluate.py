@@ -27,11 +27,11 @@ import numpy as np
 
 from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
     one_hot, stratified_k_fold
-from .kernel import KernelParams
 from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
 from .stats import rankdata
-from .weighting import WeightingConfig, contribution_scores, huber_weights, kernel_scores
+from .weighting import KernelParams, WeightingConfig, contribution_scores, huber_weights, \
+    kernel_scores
 
 
 def accuracy(pred, truth) -> float:

@@ -20,9 +20,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, NormalizationParams, apply_normalization, fit_normalization, one_hot
-from .kernel import KernelParams
 from .solver import single_blas_thread, solve_auto
-from .weighting import ContributionScores, WeightingConfig, compute_contribution_scores
+from .weighting import ContributionScores, KernelParams, WeightingConfig, \
+    compute_contribution_scores
 
 VARIANTS = ("rvfl", "elm", "r2vfl-a", "r2vfl-m")
 # The robust variants, and the class center each one scores samples against:

@@ -1,4 +1,10 @@
-"""Per-sample contribution scores: class probability, Huber weights, and their product.
+"""The robust weighting: RBF kernel, class geometry, class probability, Huber weights.
+
+The kernel matrix K and the feature-space distances come from the kernel trick,
+without materializing the map. Each sample is scored against its own class
+center, the kernel mean (R2VFL-A) or the feature-wise median of the class's
+kernel rows (R2VFL-M); the center scheme is read off the variant
+(``model.CENTER_SCHEMES``).
 
 The pipeline splits once, at tau. ``kernel_scores`` does all the l x l work,
 none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
@@ -6,8 +12,7 @@ none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
 ``huber_weights`` and ``contribution_scores`` then give r = cp * m for one tau.
 ``train`` runs both halves through ``compute_contribution_scores``; the CV fold
 code caches ``kernel_scores`` per kernel entry and runs the second half per
-config. Both read the class-center scheme off the variant
-(``model.CENTER_SCHEMES``).
+config.
 """
 
 from __future__ import annotations
@@ -16,12 +21,114 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ROW_BLOCK, ClassGeometry, KernelParams, build_class_geometry, \
-    feature_space_distance_matrix, kernel_matrix
-
 
 class WeightingError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class KernelParams:
+    """RBF kernel K(x, y) = exp(-gamma * ||x - y||^2)."""
+
+    gamma: float
+
+    def __post_init__(self):
+        if not 0 < self.gamma < np.inf:
+            raise WeightingError(f"kernel gamma must be positive and finite, got {self.gamma!r}")
+
+
+# Rows per block of the elementwise l x l work: a block of K or of the distances, and
+# the same-shape temporary it needs, stay in cache while every step runs over them.
+ROW_BLOCK = 64
+
+
+def _finish_squared_distances(G: np.ndarray, s: np.ndarray, t: np.ndarray, finish) -> np.ndarray:
+    """G <- finish(max((s_i + t_j) - 2 G_ij, 0)), in place, a block of rows at a time;
+    ``finish`` maps a block onto itself."""
+    tmp = np.empty((ROW_BLOCK, G.shape[1]))
+    for i in range(0, G.shape[0], ROW_BLOCK):
+        blk = G[i:i + ROW_BLOCK]
+        st = np.add(s[i:i + ROW_BLOCK, None], t, out=tmp[:blk.shape[0]])
+        blk *= 2.0
+        np.subtract(st, blk, out=blk)
+        np.clip(blk, 0.0, None, out=blk)
+        finish(blk)
+    return G
+
+
+def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
+    """Pairwise kernel values, entry (i, j) = K(A_i, B_j)."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    if A.shape[1] != B.shape[1]:
+        raise WeightingError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
+    # one whole GEMM (syrk when B is A): a row-blocked product would not be bit-equal
+    return _finish_squared_distances(
+        A @ B.T, np.sum(A * A, axis=1), np.sum(B * B, axis=1),
+        lambda blk: np.exp(np.multiply(blk, -params.gamma, out=blk), out=blk))
+
+
+def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
+    """Pairwise feature-space distances from a square kernel matrix K(X, X), written
+    into K's buffer."""
+    diag = np.diag(K).copy()
+    return _finish_squared_distances(K, diag, diag, lambda blk: np.sqrt(blk, out=blk))
+
+
+def median_center(K_class: np.ndarray) -> np.ndarray:
+    """Component-wise median over the class's kernel rows K(G_j, G_j).
+
+    Equal, bit for bit, to ``np.median(K_class, axis=0)`` on NaN-free input, with one
+    partition pivot where ``np.median`` uses two or three: for an even count the lower
+    middle value is the largest entry below the pivot.
+    """
+    K_class = np.asarray(K_class, dtype=np.float64)
+    if K_class.shape[0] == 0:
+        raise WeightingError("empty class")
+    h = K_class.shape[0] // 2
+    P = np.partition(K_class, h, axis=0)
+    if K_class.shape[0] % 2:
+        return P[h].copy()  # not a view that keeps P alive
+    return (np.max(P[:h], axis=0) + P[h]) / 2
+
+
+@dataclass(frozen=True)
+class ClassGeometry:
+    """Per-class radii and member distances for one center scheme, over a training kernel matrix."""
+
+    radii: np.ndarray                 # (m,) max member distance to own center
+    distances: np.ndarray             # (l,) distance of each sample to its own class center
+
+
+def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
+    """Compute class centers, member distances, and radii under one scheme."""
+    if scheme not in ("average", "median"):
+        raise WeightingError(f"unknown center scheme {scheme!r}")
+    labels = np.asarray(labels, dtype=np.int64)
+    l = labels.shape[0]
+    if K.shape != (l, l):
+        raise WeightingError(f"kernel matrix shape {K.shape} does not match {l} labels")
+    m = int(labels.max()) + 1
+    distances = np.zeros(l)
+    radii = np.zeros(m)
+    for j in range(m):
+        idx = np.flatnonzero(labels == j)
+        if idx.size == 0:
+            raise WeightingError(f"class {j} has no members")
+        block = K[np.ix_(idx, idx)]
+        if scheme == "average":
+            # ||theta(x_i) - mean||^2 = K_ii - 2/l_j sum_g K_ig + 1/l_j^2 sum_gg' K_gg'
+            const = float(block.sum()) / (idx.size ** 2)
+            sq = np.diag(K)[idx] - 2.0 / idx.size * block.sum(axis=1) + const
+            d = np.sqrt(np.clip(sq, 0.0, None))
+        else:
+            # np.linalg.norm(block - center, axis=1), computed in the block itself
+            block -= median_center(block)
+            block *= block
+            d = np.sqrt(np.add.reduce(block, axis=1))
+        distances[idx] = d
+        radii[j] = d.max()
+    return ClassGeometry(radii, distances)
 
 
 @dataclass(frozen=True)
@@ -185,12 +292,11 @@ def contribution_scores(cp, m) -> ContributionScores:
 def kernel_scores(features, labels, config: WeightingConfig,
                   scheme: str) -> tuple[np.ndarray, ClassGeometry]:
     """cp and the class geometry on normalized training features: the part of the
-    weighting that does not depend on tau. The class geometry reads K first, then the
-    distance matrix takes K's place, so one l x l array is held at a time; it is freed
-    on return."""
+    weighting that does not depend on tau. One l x l array is held at a time, and freed
+    on return: the distances overwrite K, so the class geometry must read K first."""
     K = kernel_matrix(features, features, config.kernel)
     geometry = build_class_geometry(labels, K, scheme)
-    dist = feature_space_distance_matrix(K, out=K)
+    dist = feature_space_distance_matrix(K)
     cp = class_probability(labels, resolve_delta(dist, config), dist)
     return cp, geometry
 

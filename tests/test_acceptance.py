@@ -15,11 +15,11 @@ import pytest
 
 from rvflkit.datasets import tic_tac_toe_dataset
 from rvflkit.evaluate import GridSpec, accuracy, grid_search
-from rvflkit.kernel import KernelParams, build_class_geometry, kernel_matrix
 from rvflkit.model import ModelConfig, predict, train
 from rvflkit.solver import solve_auto, solve_dual, solve_primal
 from rvflkit.stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
-from rvflkit.weighting import WeightingConfig, compute_contribution_scores
+from rvflkit.weighting import KernelParams, WeightingConfig, build_class_geometry, \
+    compute_contribution_scores, kernel_matrix
 from rvflkit.cli import main as cli_main
 from conftest import fit_with_unit_scores, gaussian_blobs
 

@@ -10,11 +10,10 @@ from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_ho
     stratified_k_fold
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
     enumerate_configs, fold_seed, grid_search
-from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
-    kernel_matrix
 from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
     init_random_layer, predict_scores, train
-from rvflkit.weighting import WeightingConfig, class_probability, huber_weights, resolve_delta
+from rvflkit.weighting import KernelParams, WeightingConfig, build_class_geometry, \
+    class_probability, feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
 from conftest import random_dataset
 
 
@@ -147,7 +146,7 @@ def per_config_fold_accuracies(ds, config, k, seed):
         if config.robust:
             w, y_tr = config.weighting, ds.labels[tr]
             K = kernel_matrix(X_tr, X_tr, w.kernel)
-            dist = feature_space_distance_matrix(K)
+            dist = feature_space_distance_matrix(K.copy())
             cp = class_probability(y_tr, resolve_delta(dist, w), dist)
             geometry = build_class_geometry(y_tr, K, CENTER_SCHEMES[config.variant])
             r = cp * huber_weights(y_tr, geometry, w.tau_multiplier)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rvflkit.kernel import ROW_BLOCK, KernelError, KernelParams, build_class_geometry, \
+from rvflkit.weighting import ROW_BLOCK, KernelParams, WeightingError, build_class_geometry, \
     feature_space_distance_matrix, kernel_matrix, median_center
 from conftest import feature_space_distance, rbf_kernel
 
@@ -23,11 +23,11 @@ class TestRbfKernel:
         assert K[0, 0] == pytest.approx(np.exp(-1))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(WeightingError):
             kernel_matrix([[1.0]], [[1.0, 2.0]], P1)
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(WeightingError):
             KernelParams(gamma=0.0)
 
 
@@ -98,9 +98,9 @@ class TestFeatureSpaceDistance:
         K = A + A.T
         d = np.diag(K)
         expected = np.sqrt(np.clip(d[:, None] + d[None, :] - 2.0 * K, 0.0, None))
-        np.testing.assert_array_equal(feature_space_distance_matrix(K), expected)
-        # in K's own buffer
-        np.testing.assert_array_equal(feature_space_distance_matrix(K, out=K), expected)
+        dist = feature_space_distance_matrix(K)
+        assert dist is K  # written into K's own buffer
+        np.testing.assert_array_equal(dist, expected)
 
 
 class TestCenters:
@@ -117,7 +117,7 @@ class TestCenters:
         assert build_class_geometry([0, 0], K, "average").distances[0] == pytest.approx(0.5)
 
     def test_empty_class(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(WeightingError):
             build_class_geometry([1, 1], np.eye(2), "average")
 
     def test_median_center_single_sample(self):
@@ -157,7 +157,7 @@ class TestCenters:
         assert build_class_geometry([0], np.array([[1.0]]), "median").distances[0] == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(WeightingError):
             build_class_geometry([0, 0], np.eye(1), "median")
 
 
@@ -204,5 +204,5 @@ class TestGeometry:
                 assert geo.radii[j] == pytest.approx(expected.max(), abs=1e-9)
 
     def test_unknown_scheme(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(WeightingError):
             build_class_geometry([0, 1], np.eye(2), "mode")

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from rvflkit.data import Dataset, apply_normalization, one_hot
-from rvflkit.kernel import KernelParams
 from rvflkit.model import MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, ModelFormatError, \
     RandomLayer, _activate, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
     predict_scores, save_model, train
 from rvflkit.solver import solve_primal
-from rvflkit.weighting import WeightingConfig
+from rvflkit.weighting import KernelParams, WeightingConfig
 from conftest import fit_with_unit_scores, masked_sigmoid, random_dataset
 
 WCFG = WeightingConfig(kernel=KernelParams(gamma=1.0))

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvflkit import weighting
-from rvflkit.kernel import KernelParams, build_class_geometry, feature_space_distance_matrix, \
-    kernel_matrix
 from rvflkit.model import ModelConfig, train
-from rvflkit.weighting import WeightingConfig, WeightingError, \
-    class_probability, compute_contribution_scores, contribution_scores, huber_weights, \
-    resolve_delta
+from rvflkit.weighting import KernelParams, WeightingConfig, WeightingError, \
+    build_class_geometry, class_probability, compute_contribution_scores, contribution_scores, \
+    feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
 from conftest import feature_space_distance, random_dataset
 
 KP = KernelParams(gamma=1.0)
@@ -216,9 +214,9 @@ def test_robust_train_builds_distance_matrix_once(rng, monkeypatch, variant):
     calls = []
     original = weighting.feature_space_distance_matrix
 
-    def counting(K, **kwargs):
+    def counting(K):
         calls.append(K.shape)
-        return original(K, **kwargs)
+        return original(K)
 
     monkeypatch.setattr(weighting, "feature_space_distance_matrix", counting)
     ds = random_dataset(rng, n_samples=20)
