@@ -19,7 +19,7 @@ from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_mode
     save_model, train
 from .solver import SolverError
 from .stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
-from .weighting import KernelParams, WeightingConfig
+from .weighting import WeightingConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,7 +91,7 @@ def _model_config(args, overlay, source) -> ModelConfig:
     weighting = None
     if variant in CENTER_SCHEMES:
         weighting = WeightingConfig(
-            kernel=KernelParams(gamma=setting("kernel_gamma", 1.0)),
+            kernel_gamma=setting("kernel_gamma", 1.0),
             tau_multiplier=setting("tau", 1.0),
             delta=setting("delta", None),
             delta_quantile=setting("delta_quantile", 0.5),
@@ -104,6 +104,16 @@ def _model_config(args, overlay, source) -> ModelConfig:
         seed=setting("seed", 0),
         weighting=weighting,
     )
+
+
+def _label_column(text):
+    """``--label-column``, typed like its JSON setting: "last" or an integer."""
+    if text == "last":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'must be "last" or an integer, got {text!r}') from None
 
 
 def _data_settings(args, overlay, source):
@@ -143,8 +153,9 @@ def _read_table(path) -> BenchmarkTable:
 
 def _read_ranks(path):
     rows = _csv_records(_read_text(path), path)
-    if len(rows) < 2:
-        raise DataError(f"{path} must hold a header row of model names and a row of ranks")
+    if len(rows) != 2:
+        raise DataError(f"{path} must hold 2 rows, a header row of model names and a row of "
+                        f"ranks; it holds {len(rows)}")
     if len(rows[1]) != len(rows[0]):
         raise DataError(f"{path}: the rank row has {len(rows[1])} fields; "
                         f"the header has {len(rows[0])}")
@@ -230,7 +241,7 @@ def _write_trace(path, result):
             w = config.weighting
             writer.writerow([
                 repr(config.gamma), config.hidden_nodes,
-                repr(w.kernel.gamma) if w else "", repr(w.tau_multiplier) if w else "",
+                repr(w.kernel_gamma) if w else "", repr(w.tau_multiplier) if w else "",
                 f"{mean:.10f}",
             ])
 
@@ -251,7 +262,7 @@ def cmd_grid(args):
         "configs_evaluated": len(result.trace),
     }
     if best.weighting is not None:
-        payload["kernel_gamma"] = best.weighting.kernel.gamma
+        payload["kernel_gamma"] = best.weighting.kernel_gamma
         payload["tau"] = best.weighting.tau_multiplier
     _emit(payload, args.format)
     return EXIT_OK
@@ -380,7 +391,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", dest="path", required=True,
                        help="dataset CSV (label in last column)")
         p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
-        p.add_argument("--label-column", dest="label_column")
+        p.add_argument("--label-column", dest="label_column", type=_label_column)
 
     def add_hyper(p):
         p.add_argument("--variant", choices=VARIANTS)
@@ -470,6 +481,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:  # rvflkit's input errors and JSON's are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy's says which array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -75,16 +75,6 @@ class NormalizationParams:
             raise DataError("normalization ranges must be positive")
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    fold_of_sample: np.ndarray  # (l,) ints in 0..k-1
-
-    def train_test_indices(self, fold: int):
-        mask = self.fold_of_sample == fold
-        idx = np.arange(len(self.fold_of_sample))
-        return idx[~mask], idx[mask]
-
-
 def _parse_cell(text: str, row: int, col: int) -> float:
     try:
         value = float(text)
@@ -274,8 +264,9 @@ def one_hot(labels, m: int) -> np.ndarray:
     return out
 
 
-def stratified_k_fold(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Per-class shuffled round-robin fold assignment, deterministic in seed."""
+def stratified_k_fold(dataset: Dataset, k: int, seed: int) -> np.ndarray:
+    """Each sample's fold in 0..k-1, an (l,) int array: per-class shuffled round-robin,
+    deterministic in seed."""
     l = dataset.n_samples
     if k < 2:
         raise DataError("k must be >= 2")
@@ -288,4 +279,4 @@ def stratified_k_fold(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
         idx = rng.permutation(np.flatnonzero(dataset.labels == c))
         fold[idx] = (offset + np.arange(idx.size)) % k
         offset = (offset + idx.size) % k
-    return FoldAssignment(fold)
+    return fold

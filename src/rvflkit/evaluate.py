@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, FoldAssignment, apply_normalization, fit_normalization, \
-    one_hot, stratified_k_fold
+from .data import DataError, Dataset, apply_normalization, fit_normalization, one_hot, \
+    stratified_k_fold
 from .model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, init_random_layer
 from .solver import single_blas_thread
 from .stats import rankdata
-from .weighting import KernelParams, WeightingConfig, contribution_scores, huber_weights, \
-    kernel_scores
+from .weighting import WeightingConfig, contribution_scores, huber_weights, kernel_scores
 
 
 def accuracy(pred, truth) -> float:
@@ -96,32 +95,30 @@ def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
                 continue
             for kg in grid.kernel_grid:
                 for tau in grid.tau_grid:
-                    w = WeightingConfig(kernel=KernelParams(gamma=kg), tau_multiplier=tau,
+                    w = WeightingConfig(kernel_gamma=kg, tau_multiplier=tau,
                                         delta=grid.delta, delta_quantile=grid.delta_quantile)
                     configs.append(ModelConfig(variant, hidden, gamma, weighting=w))
     return configs
 
 
 class _FoldContext:
-    """One fold's normalized arrays plus the kernel cache its configs share."""
+    """One fold's normalized arrays plus the kernel cache its configs share; ``test``
+    marks the fold's test rows."""
 
-    def __init__(self, dataset: Dataset, assignment: FoldAssignment, f: int):
-        tr_idx, te_idx = assignment.train_test_indices(f)
-        self.ok = np.unique(dataset.labels[tr_idx]).size == dataset.n_classes
-        if not self.ok:
-            return  # a class is absent from the training folds: the fold is skipped
-        norm = fit_normalization(dataset.features[tr_idx])
-        self.X_tr = apply_normalization(dataset.features[tr_idx], norm)
-        self.X_te = apply_normalization(dataset.features[te_idx], norm)
-        self.y_tr = dataset.labels[tr_idx]
-        self.y_te = dataset.labels[te_idx]
+    def __init__(self, dataset: Dataset, test: np.ndarray):
+        train = ~test
+        norm = fit_normalization(dataset.features[train])
+        self.X_tr = apply_normalization(dataset.features[train], norm)
+        self.X_te = apply_normalization(dataset.features[test], norm)
+        self.y_tr = dataset.labels[train]
+        self.y_te = dataset.labels[test]
         self.Y_tr = one_hot(self.y_tr, dataset.n_classes)
         self._kernel_cache: dict = {}
 
     def _kernel_entry(self, w: WeightingConfig, scheme: str):
         """``kernel_scores`` (cp and the class geometry) for a weighting's kernel and delta
         settings and a center scheme; they do not depend on tau."""
-        key = (w.kernel, w.delta, w.delta_quantile, scheme)
+        key = (w.kernel_gamma, w.delta, w.delta_quantile, scheme)
         if key not in self._kernel_cache:
             self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme)
         return self._kernel_cache[key]
@@ -159,16 +156,18 @@ def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     Configs must share the variant and activation. One fold is built and released
     at a time.
     """
-    assignment = stratified_k_fold(dataset, k, seed)
+    folds = stratified_k_fold(dataset, k, seed)
     by_hidden: dict = {}
     for i, config in enumerate(configs):
         by_hidden.setdefault(config.hidden_nodes, []).append(i)
     accs = np.full((len(configs), k), np.nan)
     for f in range(k):
-        ctx = _FoldContext(dataset, assignment, f)
-        if ctx.ok:
-            for hidden, idx in by_hidden.items():
-                accs[idx, f] = ctx.evaluate([configs[i] for i in idx], fold_seed(seed, hidden, f))
+        test = folds == f
+        if np.unique(dataset.labels[~test]).size < dataset.n_classes:
+            continue  # a class is absent from the training folds: the fold is skipped
+        ctx = _FoldContext(dataset, test)
+        for hidden, idx in by_hidden.items():
+            accs[idx, f] = ctx.evaluate([configs[i] for i in idx], fold_seed(seed, hidden, f))
     valid = [row[~np.isnan(row)] for row in accs]
     if valid[0].size == 0:
         raise DataError("every fold was skipped; dataset too small for this split")

@@ -21,8 +21,7 @@ from scipy.special import expit
 
 from .data import Dataset, NormalizationParams, apply_normalization, fit_normalization, one_hot
 from .solver import single_blas_thread, solve_auto
-from .weighting import ContributionScores, KernelParams, WeightingConfig, \
-    compute_contribution_scores
+from .weighting import ContributionScores, WeightingConfig, compute_contribution_scores
 
 VARIANTS = ("rvfl", "elm", "r2vfl-a", "r2vfl-m")
 # The robust variants, and the class center each one scores samples against:
@@ -215,7 +214,7 @@ def save_model(model: TrainedModel, path) -> None:
     if cfg.weighting is not None:
         w = cfg.weighting
         header["weighting"] = {
-            "kernel_gamma": w.kernel.gamma,
+            "kernel_gamma": w.kernel_gamma,
             "tau_multiplier": w.tau_multiplier,
             "center_scheme": CENTER_SCHEMES[cfg.variant],
             "delta": w.delta,
@@ -274,7 +273,7 @@ def _parse_payload(payload: bytes) -> TrainedModel:
             raise ModelFormatError(f"center scheme {w['center_scheme']!r} does not match "
                                    f"variant {header['variant']!r}")
         weighting = WeightingConfig(
-            kernel=KernelParams(gamma=w["kernel_gamma"]),
+            kernel_gamma=w["kernel_gamma"],
             tau_multiplier=w["tau_multiplier"],
             delta=w["delta"],
             delta_quantile=w["delta_quantile"],

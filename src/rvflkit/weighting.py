@@ -26,29 +26,18 @@ class WeightingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """RBF kernel K(x, y) = exp(-gamma * ||x - y||^2)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma < np.inf:
-            raise WeightingError(f"kernel gamma must be positive and finite, got {self.gamma!r}")
-
-
 # Rows per block of the elementwise l x l work: a block of K or of the distances, and
 # the same-shape temporary it needs, stay in cache while every step runs over them.
 ROW_BLOCK = 64
 
 
-def _finish_squared_distances(G: np.ndarray, s: np.ndarray, t: np.ndarray, finish) -> np.ndarray:
-    """G <- finish(max((s_i + t_j) - 2 G_ij, 0)), in place, a block of rows at a time;
-    ``finish`` maps a block onto itself."""
+def _finish_squared_distances(G: np.ndarray, s: np.ndarray, finish) -> np.ndarray:
+    """Square G <- finish(max((s_i + s_j) - 2 G_ij, 0)), in place, a block of rows at a
+    time; ``finish`` maps a block onto itself."""
     tmp = np.empty((ROW_BLOCK, G.shape[1]))
     for i in range(0, G.shape[0], ROW_BLOCK):
         blk = G[i:i + ROW_BLOCK]
-        st = np.add(s[i:i + ROW_BLOCK, None], t, out=tmp[:blk.shape[0]])
+        st = np.add(s[i:i + ROW_BLOCK, None], s, out=tmp[:blk.shape[0]])
         blk *= 2.0
         np.subtract(st, blk, out=blk)
         np.clip(blk, 0.0, None, out=blk)
@@ -56,23 +45,19 @@ def _finish_squared_distances(G: np.ndarray, s: np.ndarray, t: np.ndarray, finis
     return G
 
 
-def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
-    """Pairwise kernel values, entry (i, j) = K(A_i, B_j)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if A.shape[1] != B.shape[1]:
-        raise WeightingError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    # one whole GEMM (syrk when B is A): a row-blocked product would not be bit-equal
+def kernel_matrix(X, config: WeightingConfig) -> np.ndarray:
+    """The RBF kernel over the rows of X, entry (i, j) = exp(-gamma ||X_i - X_j||^2)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    # one whole syrk: a row-blocked product would not be bit-equal
     return _finish_squared_distances(
-        A @ B.T, np.sum(A * A, axis=1), np.sum(B * B, axis=1),
-        lambda blk: np.exp(np.multiply(blk, -params.gamma, out=blk), out=blk))
+        X @ X.T, np.sum(X * X, axis=1),
+        lambda blk: np.exp(np.multiply(blk, -config.kernel_gamma, out=blk), out=blk))
 
 
 def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
     """Pairwise feature-space distances from a square kernel matrix K(X, X), written
     into K's buffer."""
-    diag = np.diag(K).copy()
-    return _finish_squared_distances(K, diag, diag, lambda blk: np.sqrt(blk, out=blk))
+    return _finish_squared_distances(K, np.diag(K).copy(), lambda blk: np.sqrt(blk, out=blk))
 
 
 def median_center(K_class: np.ndarray) -> np.ndarray:
@@ -135,17 +120,21 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
 class WeightingConfig:
     """Hyperparameters of the robust weighting scheme.
 
-    delta is the neighborhood radius for class probability. Either set an
-    absolute value, or leave it None to resolve it as a quantile of all
-    pairwise feature-space distances (default: the median).
+    kernel_gamma is the gamma of the RBF kernel over the training samples. delta is
+    the neighborhood radius for class probability. Either set an absolute value, or
+    leave it None to resolve it as a quantile of all pairwise feature-space distances
+    (default: the median).
     """
 
-    kernel: KernelParams
+    kernel_gamma: float
     tau_multiplier: float = 1.0
     delta: float | None = None
     delta_quantile: float = 0.5
 
     def __post_init__(self):
+        if not 0 < self.kernel_gamma < np.inf:
+            raise WeightingError(
+                f"kernel gamma must be positive and finite, got {self.kernel_gamma!r}")
         if self.delta is not None and not self.delta > 0:
             raise WeightingError("delta must be positive")
         if not 0 < self.delta_quantile < 1:
@@ -294,7 +283,7 @@ def kernel_scores(features, labels, config: WeightingConfig,
     """cp and the class geometry on normalized training features: the part of the
     weighting that does not depend on tau. One l x l array is held at a time, and freed
     on return: the distances overwrite K, so the class geometry must read K first."""
-    K = kernel_matrix(features, features, config.kernel)
+    K = kernel_matrix(features, config)
     geometry = build_class_geometry(labels, K, scheme)
     dist = feature_space_distance_matrix(K)
     cp = class_probability(labels, resolve_delta(dist, config), dist)

@@ -9,6 +9,7 @@ import scipy
 
 from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot
 from rvflkit.model import TrainedModel, fit_output_weights, forward, init_random_layer
+from rvflkit.weighting import WeightingConfig, feature_space_distance_matrix, kernel_matrix
 
 
 def random_dataset(rng, n_samples=None, n_features=None, n_classes=None) -> Dataset:
@@ -73,15 +74,20 @@ def fit_with_unit_scores(ds, config):
     return TrainedModel(layer, W2, norm, config, ds.class_names)
 
 
-def rbf_kernel(x, y, params) -> float:
+def rbf_kernel(x, y, gamma) -> float:
     """Scalar RBF oracle: exp(-gamma * ||x - y||^2)."""
     d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-params.gamma * np.dot(d, d)))
+    return float(np.exp(-gamma * np.dot(d, d)))
 
 
-def feature_space_distance(x, y, params) -> float:
+def feature_space_distance(x, y, gamma) -> float:
     """Scalar kernel-trick distance oracle: ||theta(x) - theta(y)|| = sqrt(2 - 2K) for RBF."""
-    return float(np.sqrt(max(2.0 - 2.0 * rbf_kernel(x, y, params), 0.0)))
+    return float(np.sqrt(max(2.0 - 2.0 * rbf_kernel(x, y, gamma), 0.0)))
+
+
+def distances(X) -> np.ndarray:
+    """Pairwise feature-space distances of the rows of X under the kernel gamma 1."""
+    return feature_space_distance_matrix(kernel_matrix(X, WeightingConfig(kernel_gamma=1.0)))
 
 
 def masked_sigmoid(Z):

@@ -18,7 +18,7 @@ from rvflkit.evaluate import GridSpec, accuracy, grid_search
 from rvflkit.model import ModelConfig, predict, train
 from rvflkit.solver import solve_auto, solve_dual, solve_primal
 from rvflkit.stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
-from rvflkit.weighting import KernelParams, WeightingConfig, build_class_geometry, \
+from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     compute_contribution_scores, kernel_matrix
 from rvflkit.cli import main as cli_main
 from conftest import fit_with_unit_scores, gaussian_blobs
@@ -135,7 +135,7 @@ def test_criterion_4_solver():
 @_announce(5, "robust variants with unit scores reproduce the plain model")
 def test_criterion_5_reduction():
     rng = np.random.default_rng(99)
-    wcfg = WeightingConfig(kernel=KernelParams(gamma=1.0))
+    wcfg = WeightingConfig(kernel_gamma=1.0)
     for trial in range(20):
         seed = int(rng.integers(0, 10_000))
         gamma = float(10.0 ** rng.integers(-3, 4))
@@ -160,10 +160,9 @@ def test_criterion_6_weight_invariants():
                             separation=float(rng.uniform(0.5, 4.0)),
                             flip_fraction=float(rng.uniform(0.0, 0.3)))
         tau = float(rng.uniform(0.5, 1.0))
-        cfg = WeightingConfig(kernel=KernelParams(gamma=float(rng.uniform(0.1, 4.0))),
-                              tau_multiplier=tau)
+        cfg = WeightingConfig(kernel_gamma=float(rng.uniform(0.1, 4.0)), tau_multiplier=tau)
         scheme = "average" if trial % 2 else "median"
-        K = kernel_matrix(ds.features, ds.features, cfg.kernel)
+        K = kernel_matrix(ds.features, cfg)
         geometry = build_class_geometry(ds.labels, K, scheme)
         scores = compute_contribution_scores(ds.features, ds.labels, cfg, scheme)
         for arr in (scores.cp, scores.m, scores.r):
@@ -184,7 +183,7 @@ def test_criterion_7_label_noise_robustness():
     # hyperparameters grid-tuned once on the clean task and then held fixed
     # for both models at every flip rate
     gamma, hidden = 1e5, 103
-    wcfg = WeightingConfig(kernel=KernelParams(gamma=1.0))
+    wcfg = WeightingConfig(kernel_gamma=1.0)
     means = {}
     for flip in (0.0, 0.15, 0.30):
         accs = {"rvfl": [], "r2vfl-m": []}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rvflkit
+from rvflkit import cli
 from rvflkit.cli import main
 from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
@@ -143,7 +144,7 @@ class TestCv:
         assert code == 0
         code, from_flags = run(capsys, "cv", "--data", str(toy_csv), "--variant", "r2vfl-m",
                                "--hidden", "13", "--gamma", "100", "--kernel-gamma", "2",
-                               "--tau", "1", "--k", "3", "--seed", "7")
+                               "--tau", "1", "--k", "3", "--seed", "7", "--label-column", "last")
         assert code == 0
         assert from_file == from_flags
 
@@ -289,6 +290,9 @@ def _write(path, text):
     ("table_nan_friedman", 2),
     ("ranks_text_cell", 2),
     ("table_empty_cell", 2),
+    ("ranks_extra_row", 2),
+    ("label_column_text", 1),
+    ("label_column_negative", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -369,6 +373,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             tmp_path / "text_ranks.csv", "a,b,c\n1,x2,3\n")],
         "table_empty_cell": ["stats", "friedman", "--table", _write(
             tmp_path / "blank_cell.csv", "dataset,a,b\nd1,80,90\nd2,,75\n")],
+        "ranks_extra_row": ["stats", "friedman", "--datasets", "10", "--ranks", _write(
+            tmp_path / "extra_row.csv", "a,b,c\n1.5,2.0,2.5\n3,2,1\n")],
+        "label_column_text": ["cv", "--data", data, "--variant", "rvfl", "--label-column", "x"],
+        "label_column_negative": ["cv", "--data", data, "--variant", "rvfl",
+                                  "--label-column", "-1"],
     }.get(case)
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
@@ -408,7 +417,27 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "table_inf_wilcoxon": "inf_table.csv: 'inf' is not a finite number",
             "table_nan_friedman": "nan_table.csv: 'NaN' is not a finite number",
             "ranks_text_cell": "text_ranks.csv: 'x2' is not a number (rank row)",
-            "table_empty_cell": "blank_cell.csv: '' is not a number (row 'd2')"}.get(case, "") in err
+            "table_empty_cell": "blank_cell.csv: '' is not a number (row 'd2')",
+            "ranks_extra_row": "extra_row.csv must hold 2 rows, a header row of model names "
+                               "and a row of ranks; it holds 3",
+            "label_column_text": "argument --label-column",
+            "label_column_negative": "label column -1 out of range"}.get(case, "") in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array with shape "
+                                     "(2000000000, 1) and data type float64", ""])
+def test_memory_error_is_one_line_error(monkeypatch, capsys, toy_csv, tmp_path, message):
+    # numpy raises a MemoryError when it cannot allocate an array; a command that raises
+    # one stands in for a real allocation, which an overcommitting system may grant
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_train", out_of_memory)
+    code = main(["train", "--data", str(toy_csv), "--variant", "rvfl",
+                 "--out", str(tmp_path / "m.bin")])
+    assert code == 2
+    detail = f": {message}" if message else ""
+    assert capsys.readouterr().err == f"error: out of memory{detail}\n"
 
 
 class TestStats:

@@ -242,31 +242,32 @@ class TestStratifiedKFold:
         return Dataset(X, y, ("a", "b"))
 
     def test_perfect_stratification(self):
-        fa = stratified_k_fold(self.balanced(), 5, seed=7)
+        folds = stratified_k_fold(self.balanced(), 5, seed=7)
         for f in range(5):
-            labels = self.balanced().labels[fa.fold_of_sample == f]
+            labels = self.balanced().labels[folds == f]
             assert sorted(labels) == [0, 1]
 
     def test_deterministic(self):
         a = stratified_k_fold(self.balanced(), 5, seed=3)
         b = stratified_k_fold(self.balanced(), 5, seed=3)
-        np.testing.assert_array_equal(a.fold_of_sample, b.fold_of_sample)
+        np.testing.assert_array_equal(a, b)
 
     def test_round_robin_spread_for_odd_class(self):
         # 7 samples of class a over 5 folds: counts must be {2,2,1,1,1}
         X = np.zeros((12, 1))
         y = np.array([0] * 7 + [1] * 5)
         ds = Dataset(X, y, ("a", "b"))
-        fa = stratified_k_fold(ds, 5, seed=1)
-        counts = sorted(np.bincount(fa.fold_of_sample[y == 0], minlength=5))
+        folds = stratified_k_fold(ds, 5, seed=1)
+        counts = sorted(np.bincount(folds[y == 0], minlength=5))
         assert counts == [1, 1, 1, 2, 2]
 
     def test_partition_property(self, rng):
         for _ in range(10):
             ds = random_dataset(rng, n_samples=25)
-            fa = stratified_k_fold(ds, 4, seed=int(rng.integers(1000)))
-            assert np.all((fa.fold_of_sample >= 0) & (fa.fold_of_sample < 4))
-            assert len(np.unique(fa.fold_of_sample)) == 4  # no empty folds
+            folds = stratified_k_fold(ds, 4, seed=int(rng.integers(1000)))
+            assert folds.shape == (25,) and folds.dtype == np.int64
+            assert np.all((folds >= 0) & (folds < 4))
+            assert len(np.unique(folds)) == 4  # no empty folds
 
     def test_k_larger_than_l(self):
         with pytest.raises(DataError):

@@ -12,7 +12,7 @@ from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate,
     enumerate_configs, fold_seed, grid_search
 from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
     init_random_layer, predict_scores, train
-from rvflkit.weighting import KernelParams, WeightingConfig, build_class_geometry, \
+from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     class_probability, feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
 from conftest import random_dataset
 
@@ -56,7 +56,7 @@ class TestCrossValidate:
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n_samples=24)
         cfg = ModelConfig("r2vfl-a", 7, 10.0, seed=5,
-                          weighting=WeightingConfig(kernel=KernelParams(gamma=1.0)))
+                          weighting=WeightingConfig(kernel_gamma=1.0))
         a = cross_validate(ds, cfg, k=4, seed=9)
         b = cross_validate(ds, cfg, k=4, seed=9)
         np.testing.assert_array_equal(a.fold_accuracies, b.fold_accuracies)
@@ -130,10 +130,10 @@ def per_config_fold_accuracies(ds, config, k, seed):
     fold_seed(seed, hidden nodes, fold), scores r = cp * m composed step by step here
     rather than taken from the weighting pipeline the fold code shares, and a one-gamma
     ridge fit."""
-    assignment = stratified_k_fold(ds, k, seed)
+    folds = stratified_k_fold(ds, k, seed)
     accs = []
     for f in range(k):
-        tr, te = assignment.train_test_indices(f)
+        tr, te = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
         if np.unique(ds.labels[tr]).size < ds.n_classes:
             accs.append(np.nan)
             continue
@@ -145,7 +145,7 @@ def per_config_fold_accuracies(ds, config, k, seed):
         r = None
         if config.robust:
             w, y_tr = config.weighting, ds.labels[tr]
-            K = kernel_matrix(X_tr, X_tr, w.kernel)
+            K = kernel_matrix(X_tr, w)
             dist = feature_space_distance_matrix(K.copy())
             cp = class_probability(y_tr, resolve_delta(dist, w), dist)
             geometry = build_class_geometry(y_tr, K, CENTER_SCHEMES[config.variant])
@@ -242,7 +242,7 @@ class TestSingleBlasThread:
     GRID = GridSpec(gamma_grid=(1.0, 10.0), hidden_grid=(5,), kernel_grid=(1.0,),
                     tau_grid=(1.0,), k=2, seed=0)
     CONFIG = ModelConfig("r2vfl-m", 5, 1.0, seed=0,
-                         weighting=WeightingConfig(kernel=KernelParams(gamma=1.0)))
+                         weighting=WeightingConfig(kernel_gamma=1.0))
 
     @pytest.fixture
     def seen(self, monkeypatch, blas_threads):

@@ -3,72 +3,58 @@ import itertools
 import numpy as np
 import pytest
 
-from rvflkit.weighting import ROW_BLOCK, KernelParams, WeightingError, build_class_geometry, \
+from rvflkit.weighting import ROW_BLOCK, WeightingConfig, WeightingError, build_class_geometry, \
     feature_space_distance_matrix, kernel_matrix, median_center
-from conftest import feature_space_distance, rbf_kernel
+from conftest import distances, feature_space_distance, rbf_kernel
 
-P1 = KernelParams(gamma=1.0)
+W1 = WeightingConfig(kernel_gamma=1.0)
 
 
 class TestRbfKernel:
     def test_same_point_is_one(self):
-        assert kernel_matrix([[1.0, 2.0]], [[1.0, 2.0]], P1)[0, 0] == 1.0
+        assert kernel_matrix([[1.0, 2.0]], W1)[0, 0] == 1.0
 
     def test_unit_distance(self):
-        assert kernel_matrix([[0.0, 0.0]], [[1.0, 0.0]], P1)[0, 0] == pytest.approx(np.exp(-1))
+        assert kernel_matrix([[0.0, 0.0], [1.0, 0.0]], W1)[0, 1] == pytest.approx(np.exp(-1))
 
     def test_small_gamma_large_distance(self):
         # gamma 2^-5 with squared distance 32 -> exp(-1)
-        K = kernel_matrix([[0.0]], [[np.sqrt(32.0)]], KernelParams(gamma=2 ** -5))
-        assert K[0, 0] == pytest.approx(np.exp(-1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(WeightingError):
-            kernel_matrix([[1.0]], [[1.0, 2.0]], P1)
+        K = kernel_matrix([[0.0], [np.sqrt(32.0)]], WeightingConfig(kernel_gamma=2 ** -5))
+        assert K[0, 1] == pytest.approx(np.exp(-1))
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(WeightingError):
-            KernelParams(gamma=0.0)
+        for gamma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(WeightingError) as exc:
+                WeightingConfig(kernel_gamma=gamma)
+            assert str(exc.value) == f"kernel gamma must be positive and finite, got {gamma!r}"
 
 
 class TestKernelMatrix:
     def test_unit_diagonal_and_symmetry(self, rng):
         A = rng.normal(size=(6, 3))
-        K = kernel_matrix(A, A, P1)
+        K = kernel_matrix(A, W1)
         np.testing.assert_allclose(np.diag(K), 1.0)
         np.testing.assert_allclose(K, K.T)
 
-    def test_transpose_identity(self, rng):
-        A = rng.normal(size=(4, 2))
-        B = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(kernel_matrix(A, B, P1), kernel_matrix(B, A, P1).T)
-
     def test_duplicate_rows(self, rng):
-        A = np.vstack([[1.0, 2.0], [1.0, 2.0]])
-        B = rng.normal(size=(3, 2))
-        K = kernel_matrix(A, B, P1)
+        X = np.vstack([[1.0, 2.0], [1.0, 2.0], rng.normal(size=(3, 2))])
+        K = kernel_matrix(X, W1)
         np.testing.assert_allclose(K[0], K[1])
 
     def test_entrywise_matches_scalar(self, rng):
-        A = rng.normal(size=(3, 2))
-        B = rng.normal(size=(2, 2))
-        K = kernel_matrix(A, B, P1)
-        for i, j in itertools.product(range(3), range(2)):
-            assert K[i, j] == pytest.approx(rbf_kernel(A[i], B[j], P1))
+        X = rng.normal(size=(5, 2))
+        K = kernel_matrix(X, W1)
+        for i, j in itertools.product(range(5), repeat=2):
+            assert K[i, j] == pytest.approx(rbf_kernel(X[i], X[j], 1.0))
 
     @pytest.mark.parametrize("l", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
     def test_row_blocks_equal_whole_matrix_formula(self, rng, l):
-        A = rng.normal(size=(l, 7))
-        B = rng.normal(size=(l + 3, 7))
-        for X, Y in ((A, A), (A, B)):   # A with itself takes numpy's syrk path
-            sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-                  - 2.0 * (X @ Y.T))
-            expected = np.exp(-0.3 * np.clip(sq, 0.0, None))
-            np.testing.assert_array_equal(kernel_matrix(X, Y, KernelParams(0.3)), expected)
-
-
-def distances(X, params=P1):
-    return feature_space_distance_matrix(kernel_matrix(X, X, params))
+        X = rng.normal(size=(l, 7))
+        # X with itself takes numpy's syrk path, in the kernel and here alike
+        sq = np.sum(X * X, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :] - 2.0 * (X @ X.T)
+        expected = np.exp(-0.3 * np.clip(sq, 0.0, None))
+        np.testing.assert_array_equal(kernel_matrix(X, WeightingConfig(kernel_gamma=0.3)),
+                                      expected)
 
 
 class TestFeatureSpaceDistance:
@@ -89,7 +75,7 @@ class TestFeatureSpaceDistance:
         x, y = rng.normal(size=3), rng.normal(size=3)
         D = distances([x, y])
         assert D[0, 1] == pytest.approx(D[1, 0], abs=1e-12)
-        assert D[0, 1] == pytest.approx(feature_space_distance(x, y, P1), abs=1e-12)
+        assert D[0, 1] == pytest.approx(feature_space_distance(x, y, 1.0), abs=1e-12)
         assert D[0, 0] <= 1e-12
 
     @pytest.mark.parametrize("l", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 255, 256, 257, 600])
@@ -181,7 +167,7 @@ class TestGeometry:
                 X = rng.normal(size=(rng.integers(3, 10), 2))
                 y = rng.integers(0, 2, size=len(X))
                 y[:2] = [0, 1]
-                K = kernel_matrix(X, X, P1)
+                K = kernel_matrix(X, W1)
                 geo = build_class_geometry(y, K, scheme)
                 for j in range(geo.radii.size):
                     idx = np.flatnonzero(y == j)

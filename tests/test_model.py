@@ -11,10 +11,10 @@ from rvflkit.model import MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, M
     RandomLayer, _activate, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
     predict_scores, save_model, train
 from rvflkit.solver import solve_primal
-from rvflkit.weighting import KernelParams, WeightingConfig
+from rvflkit.weighting import WeightingConfig
 from conftest import fit_with_unit_scores, masked_sigmoid, random_dataset
 
-WCFG = WeightingConfig(kernel=KernelParams(gamma=1.0))
+WCFG = WeightingConfig(kernel_gamma=1.0)
 
 
 def separable_toy():

@@ -52,29 +52,54 @@ def test_every_span_target_exists(tmp_path):
     assert _run(code, str(tmp_path)) == "[]\n"  # also: the import prints nothing
 
 
-def test_traced_run_records_every_layer(tmp_path, rng):
-    # a span target that exists but is no longer called (removed from the call graph,
-    # or called through an alias the tracer cannot replace) records nothing
+def _traced(tmp_path, commands):
+    """Runs ``commands`` under the tracer; returns the exit codes and the span batches."""
+    out = json.loads(_run(TRACED_RUN, str(tmp_path / "spans"), json.dumps(commands))
+                     .splitlines()[-1])
+    assert out["missing"] == []
+    return out["codes"], _spans_module().read_batches(tmp_path / "spans")
+
+
+def _spans_module():
+    loader = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    return spans
+
+
+def _data_and_grid(tmp_path, rng, taus):
+    """A 60-row two-class CSV, and a robust grid file of two hidden counts and k = 3."""
     X = rng.normal(size=(60, 3))
     data = tmp_path / "data.csv"
     data.write_text("".join(",".join(map(repr, row.tolist())) + f",c{int(row[0] > 0)}\n"
                             for row in X))
     grid = tmp_path / "grid.json"
     grid.write_text('{"gamma_grid": [1.0], "hidden_grid": [3, 13], "kernel_grid": [1.0],'
-                    ' "tau_grid": [0.75, 1.0], "k": 3}')
-    model = tmp_path / "model.bin"
-    commands = [["grid", "--data", str(data), "--variant", "r2vfl-m", "--grid-file", str(grid)],
-                ["train", "--data", str(data), "--variant", "r2vfl-a", "--hidden", "13",
-                 "--out", str(model)],
-                ["predict", "--data", str(data), "--model", str(model)]]
-    out = json.loads(_run(TRACED_RUN, str(tmp_path / "spans"), json.dumps(commands))
-                     .splitlines()[-1])
-    assert out == {"codes": [0, 0, 0], "missing": []}
+                    f' "tau_grid": {json.dumps(taus)}, "k": 3}}')
+    return str(data), str(grid)
 
-    loader = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(spans)
-    batches = spans.read_batches(tmp_path / "spans")
+
+def test_traced_run_records_every_layer(tmp_path, rng):
+    # a span target that exists but is no longer called (removed from the call graph,
+    # or called through an alias the tracer cannot replace) records nothing
+    data, grid = _data_and_grid(tmp_path, rng, [0.75, 1.0])
+    model = str(tmp_path / "model.bin")
+    codes, batches = _traced(tmp_path, [
+        ["grid", "--data", data, "--variant", "r2vfl-m", "--grid-file", grid],
+        ["train", "--data", data, "--variant", "r2vfl-a", "--hidden", "13", "--out", model],
+        ["predict", "--data", data, "--model", model]])
+    assert codes == [0, 0, 0]
     assert TRACED_SPANS <= {s[0] for batch in batches for s in batch["spans"]}
-    metrics = spans.layer_metrics(batches, set(), cv_wall_s=1.0, jobs=1, cpu_s=1.0)
+    metrics = _spans_module().layer_metrics(batches, set(), cv_wall_s=1.0, jobs=1, cpu_s=1.0)
     assert [name for name, value in metrics.items() if value is None] == []
+
+
+def test_traced_pool_workers_record_the_fold_code(tmp_path, rng):
+    # with --jobs 2 the fold code runs in forked pool workers, and perfbench reads its
+    # spans only from the workers' own batches
+    data, grid = _data_and_grid(tmp_path, rng, [1.0])
+    codes, batches = _traced(tmp_path, [
+        ["grid", "--data", data, "--variant", "r2vfl-m", "--grid-file", grid, "--jobs", "2"]])
+    assert codes == [0]
+    in_workers = {s[0] for batch in batches if not batch["root"] for s in batch["spans"]}
+    assert {"evaluate.chunk", "evaluate.fold_prep", "evaluate.fit"} <= in_workers

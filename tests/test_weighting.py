@@ -6,48 +6,44 @@ from hypothesis import given, settings, strategies as st
 
 from rvflkit import weighting
 from rvflkit.model import ModelConfig, train
-from rvflkit.weighting import KernelParams, WeightingConfig, WeightingError, \
-    build_class_geometry, class_probability, compute_contribution_scores, contribution_scores, \
-    feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
-from conftest import feature_space_distance, random_dataset
+from rvflkit.weighting import WeightingConfig, WeightingError, build_class_geometry, \
+    class_probability, compute_contribution_scores, contribution_scores, huber_weights, \
+    kernel_matrix, resolve_delta
+from conftest import distances, feature_space_distance, random_dataset
 
-KP = KernelParams(gamma=1.0)
-
-
-def dist_matrix(X, params=KP):
-    return feature_space_distance_matrix(kernel_matrix(X, X, params))
+W1 = WeightingConfig(kernel_gamma=1.0)
 
 
 class TestClassProbability:
     def test_isolated_point_is_one(self):
         X = np.array([[0.0], [100.0]])
-        cp = class_probability([0, 1], 0.01, dist_matrix(X))
+        cp = class_probability([0, 1], 0.01, distances(X))
         np.testing.assert_allclose(cp, [1.0, 1.0])
 
     def test_pure_neighborhood_is_one(self):
         X = np.array([[0.0], [0.1], [50.0]])
-        cp = class_probability([0, 0, 1], 0.5, dist_matrix(X))
+        cp = class_probability([0, 0, 1], 0.5, distances(X))
         assert cp[0] == 1.0 and cp[1] == 1.0
 
     def test_mixed_neighborhood_ratio(self):
         # three points all within delta, labels A A B: first point sees 2/3
         X = np.array([[0.0], [0.1], [0.2]])
-        cp = class_probability([0, 0, 1], 2.0, dist_matrix(X))
+        cp = class_probability([0, 0, 1], 2.0, distances(X))
         assert cp[0] == pytest.approx(2 / 3)
 
     def test_duplicating_samples_keeps_cp(self, rng):
         ds = random_dataset(rng, n_samples=12)
-        d1 = dist_matrix(ds.features)
+        d1 = distances(ds.features)
         cp1 = class_probability(ds.labels, 0.6, d1)
         X2 = np.vstack([ds.features, ds.features])
         y2 = np.concatenate([ds.labels, ds.labels])
-        cp2 = class_probability(y2, 0.6, dist_matrix(X2))
+        cp2 = class_probability(y2, 0.6, distances(X2))
         np.testing.assert_allclose(cp2[:len(cp1)], cp1)
 
 
 class TestHuberWeights:
     def geometry(self, X, y, scheme="average"):
-        return build_class_geometry(y, kernel_matrix(X, X, KP), scheme)
+        return build_class_geometry(y, kernel_matrix(X, W1), scheme)
 
     def test_boundary_inclusive_and_ratio(self):
         geo = self.geometry(np.array([[0.0], [1.0], [5.0]]), [0, 0, 1])
@@ -89,25 +85,23 @@ class TestContributionScores:
 
 class TestResolveDelta:
     def test_absolute(self):
-        cfg = WeightingConfig(kernel=KP, delta=0.3)
+        cfg = WeightingConfig(kernel_gamma=1.0, delta=0.3)
         assert resolve_delta(np.zeros((2, 2)), cfg) == 0.3
 
     def test_single_pair(self):
         X = np.array([[0.0], [1.0]])
-        cfg = WeightingConfig(kernel=KP)
-        expected = feature_space_distance(X[0], X[1], KP)
-        assert resolve_delta(dist_matrix(X), cfg) == pytest.approx(expected)
+        expected = feature_space_distance(X[0], X[1], 1.0)
+        assert resolve_delta(distances(X), W1) == pytest.approx(expected)
 
     def test_median_of_three_pairs(self):
         X = np.array([[0.0], [0.3], [0.9]])
-        cfg = WeightingConfig(kernel=KP)
-        d = sorted(feature_space_distance(X[i], X[j], KP)
+        d = sorted(feature_space_distance(X[i], X[j], 1.0)
                    for i in range(3) for j in range(i + 1, 3))
-        assert resolve_delta(dist_matrix(X), cfg) == pytest.approx(d[1])
+        assert resolve_delta(distances(X), W1) == pytest.approx(d[1])
 
     def test_needs_two_samples(self):
         with pytest.raises(WeightingError):
-            resolve_delta(np.zeros((1, 1)), WeightingConfig(kernel=KP))
+            resolve_delta(np.zeros((1, 1)), W1)
 
     @pytest.mark.parametrize("l", [2, 3, 7, 100])
     def test_equals_quantile_of_upper_triangle_pairs(self, rng, l):
@@ -115,7 +109,8 @@ class TestResolveDelta:
         dist = A + A.T
         for q in (0.01, 0.25, 0.5, 0.6, 0.99):
             expected = np.quantile(dist[np.triu_indices(l, 1)], q)
-            assert resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=q)) == expected
+            config = WeightingConfig(kernel_gamma=1.0, delta_quantile=q)
+            assert resolve_delta(dist, config) == expected
 
     def test_interpolation_between_distant_neighbours(self, rng):
         # the two order statistics straddle a gap, so both of numpy's interpolation
@@ -130,12 +125,12 @@ class TestResolveDelta:
         for t in np.linspace(0.01, 0.99, 99):
             q = (k - 1 + t) / (n - 1)
             expected = np.quantile(dist[upper], q)
-            got = resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=float(q)))
+            got = resolve_delta(dist, WeightingConfig(kernel_gamma=1.0, delta_quantile=float(q)))
             assert np.float64(got).tobytes() == expected.tobytes(), q
 
     def test_large_matrix_takes_the_bracket(self, rng):
         l = 400  # 79 800 pairs: more than the sample
-        dist = dist_matrix(rng.normal(size=(l, 3)))
+        dist = distances(rng.normal(size=(l, 3)))
         assert l * (l - 1) // 2 > weighting.DELTA_SAMPLE
         ranks = [39_899, 39_900]
         found = weighting._bracketed_order_statistics(dist, ranks)
@@ -153,21 +148,22 @@ class TestResolveDelta:
 
         monkeypatch.setattr(weighting, "_bracketed_order_statistics", spy)
         l = 300
-        dist = dist_matrix(rng.normal(size=(l, 3)))
+        dist = distances(rng.normal(size=(l, 3)))
         expected = np.quantile(dist[np.triu_indices(l, 1)], 0.37)
-        assert resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=0.37)) == expected
+        config = WeightingConfig(kernel_gamma=1.0, delta_quantile=0.37)
+        assert resolve_delta(dist, config) == expected
         assert misses == [True]
 
     def test_nan_gives_nan_like_np_quantile(self, rng):
         dist = rng.random((300, 300))
         dist[5, 200] = np.nan
-        assert np.isnan(resolve_delta(dist, WeightingConfig(kernel=KP)))
+        assert np.isnan(resolve_delta(dist, W1))
 
     def test_config_validation(self):
         with pytest.raises(WeightingError):
-            WeightingConfig(kernel=KP, delta=-1.0)
+            WeightingConfig(kernel_gamma=1.0, delta=-1.0)
         with pytest.raises(WeightingError):
-            WeightingConfig(kernel=KP, tau_multiplier=1.5)
+            WeightingConfig(kernel_gamma=1.0, tau_multiplier=1.5)
 
 
 @settings(max_examples=120, deadline=None)
@@ -182,7 +178,7 @@ def test_delta_equals_np_quantile_bit_for_bit(seed, l, distinct, q, sample):
     dist = rng.random((l, l)) if distinct is None else rng.integers(0, distinct, (l, l)) / distinct
     expected = np.quantile(dist[np.triu_indices(l, 1)], q)
     with mock.patch.object(weighting, "DELTA_SAMPLE", sample):
-        got = resolve_delta(dist, WeightingConfig(kernel=KP, delta_quantile=q))
+        got = resolve_delta(dist, WeightingConfig(kernel_gamma=1.0, delta_quantile=q))
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
@@ -192,7 +188,7 @@ def test_delta_equals_np_quantile_bit_for_bit(seed, l, distinct, q, sample):
 def test_score_ranges_property(seed, scheme, tau):
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng)
-    cfg = WeightingConfig(kernel=KP, tau_multiplier=tau)
+    cfg = WeightingConfig(kernel_gamma=1.0, tau_multiplier=tau)
     Xn = (ds.features - ds.features.min(0)) / np.maximum(np.ptp(ds.features, axis=0), 1e-12)
     s = compute_contribution_scores(Xn, ds.labels, cfg, scheme)
     for v in (s.cp, s.m, s.r):
@@ -203,7 +199,7 @@ def test_clean_central_sample_gets_full_score():
     # tight same-label cluster plus one far point of the other class
     X = np.vstack([np.zeros((5, 2)), [[10.0, 10.0]]])
     y = np.array([0] * 5 + [1])
-    cfg = WeightingConfig(kernel=KP, delta=0.1)
+    cfg = WeightingConfig(kernel_gamma=1.0, delta=0.1)
     for scheme in ("average", "median"):
         s = compute_contribution_scores(X, y, cfg, scheme)
         np.testing.assert_allclose(s.r[:5], 1.0)
@@ -220,5 +216,5 @@ def test_robust_train_builds_distance_matrix_once(rng, monkeypatch, variant):
 
     monkeypatch.setattr(weighting, "feature_space_distance_matrix", counting)
     ds = random_dataset(rng, n_samples=20)
-    train(ds, ModelConfig(variant, 9, 10.0, seed=1, weighting=WeightingConfig(kernel=KP)))
+    train(ds, ModelConfig(variant, 9, 10.0, seed=1, weighting=W1))
     assert calls == [(20, 20)]
