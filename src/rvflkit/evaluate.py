@@ -15,12 +15,14 @@ seed)`` reproduces the grid cell of ``config``.
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
 each pool worker's entry point. ``grid_search(jobs=N)`` uses N cores through N
-worker processes.
+worker processes from ``worker_pool``; a caller that runs many grids, such as
+``bench``, passes one pool to all of them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,11 +200,24 @@ class GridSearchResult:
     trace: tuple  # tuples of (config, mean accuracy, per-fold accuracies)
 
 
+@contextlib.contextmanager
+def worker_pool(jobs: int):
+    """None for ``jobs`` <= 1; else a pool of ``jobs`` worker processes, forked under one
+    BLAS thread so that each worker starts with the count its fold code runs with."""
+    if jobs <= 1:
+        yield None
+        return
+    with single_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
+
+
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
-                jobs: int = 1) -> GridSearchResult:
+                jobs: int = 1, pool=None) -> GridSearchResult:
     """Exhaustive search; ties break to the earliest config in iteration order.
 
-    Results are independent of the worker count.
+    With ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on ``pool`` if
+    one is given (from ``worker_pool``), else on a pool of its own. Results are
+    independent of the worker count.
     """
     configs = enumerate_configs(variant, grid)
     groups = _shared_groups(configs)
@@ -213,7 +228,7 @@ def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
         # each worker takes a contiguous run of whole groups
         chunks = [sum(groups[j * len(groups) // n:(j + 1) * len(groups) // n], [])
                   for j in range(n)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+        with worker_pool(n) if pool is None else contextlib.nullcontext(pool) as pool:
             futures = [pool.submit(_evaluate_chunk, dataset, variant, grid, c) for c in chunks]
             results = sorted((item for fut in futures for item in fut.result()),
                              key=lambda t: t[0])

@@ -107,8 +107,10 @@ def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
             sq = np.diag(K)[idx] - 2.0 / idx.size * block.sum(axis=1) + const
             d = np.sqrt(np.clip(sq, 0.0, None))
         else:
-            # np.linalg.norm(block - center, axis=1), computed in the block itself
-            block -= median_center(block)
+            # np.linalg.norm(block - center, axis=1), computed in the block itself. K is
+            # bit-symmetric, so the medians of block.T's columns are those of block's,
+            # and block.T partitions along contiguous memory.
+            block -= median_center(block.T)
             block *= block
             d = np.sqrt(np.add.reduce(block, axis=1))
         distances[idx] = d

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -202,6 +204,56 @@ class TestBench:
         rank_rows = list(csv.reader((outdir / "ranks.csv").read_text().splitlines()))
         for r in rank_rows[1:]:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
+
+    def bench_manifest(self, tmp_path, second):
+        """Two datasets, rvfl and r2vfl-m, and a grid of two groups per model, so that at
+        --jobs 2 every grid splits into two chunks."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "datasets": [{"path": str(tmp_path / "first.csv")}, {"path": str(second)}],
+            "models": ["rvfl", "r2vfl-m"], "k": 2, "seed": 0,
+            "grid": {"gamma_grid": [0.1, 10.0], "hidden_grid": [3, 9],
+                     "kernel_grid": [1.0], "tau_grid": [0.75, 1.0]},
+        }))
+        ds = gaussian_blobs(15, seed=2, separation=2.0, flip_fraction=0.1)
+        with open(tmp_path / "first.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                     for x, y in zip(ds.features, ds.labels))
+        return manifest
+
+    def test_jobs_2_tables_byte_identical_to_jobs_1(self, toy_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        tables = []
+        for jobs in ("1", "2"):
+            outdir = tmp_path / f"jobs{jobs}"
+            code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(outdir),
+                          "--jobs", jobs)
+            assert code == 0
+            tables.append([(outdir / name).read_bytes() for name in ("accuracy.csv",
+                                                                      "ranks.csv")])
+        assert tables[0] == tables[1]
+        assert pools == [2]  # one pool for all four grids
+
+    def test_failing_grid_in_shared_pool_is_one_line_error(self, tmp_path, capsys):
+        # two rows of two classes: at k = 2 every fold misses a class and is skipped
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("0.0,1.0,a\n1.0,0.0,b\n")
+        manifest = self.bench_manifest(tmp_path, tiny)
+        code = main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
+                     "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: every fold was skipped; ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("key, value, other", [("delta_quantile", 0.25, 0.5),

@@ -9,12 +9,12 @@ import rvflkit.weighting
 from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot, \
     stratified_k_fold
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
-    enumerate_configs, fold_seed, grid_search
+    enumerate_configs, fold_seed, grid_search, worker_pool
 from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
     init_random_layer, predict_scores, train
 from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     class_probability, feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
-from conftest import random_dataset
+from conftest import _openblas_thread_functions, random_dataset
 
 
 class TestAccuracy:
@@ -235,6 +235,10 @@ class TestSharedRidgePath:
         assert len(lu_calls) == 2 * len(enumerate_configs("r2vfl-m", self.GRID)) * self.GRID.k
 
 
+def _blas_thread_counts():
+    return tuple(get() for get, _ in _openblas_thread_functions())
+
+
 class TestSingleBlasThread:
     """Every fit and prediction runs with one OpenBLAS thread: the CV and grid fold
     code, train and predict_scores."""
@@ -325,6 +329,16 @@ class TestSingleBlasThread:
             else:
                 predict_scores(model, ds.features)
         assert inside == [(1,) * len(before)]
+        assert blas_threads() == before
+
+    def test_pool_workers_start_with_one_thread_then_restored(self, blas_threads):
+        with worker_pool(1) as pool:
+            assert pool is None
+        before = blas_threads()
+        with worker_pool(2) as pool:
+            seen = [f.result(timeout=60) for f in [pool.submit(_blas_thread_counts)
+                                                   for _ in range(4)]]
+        assert seen == [(1,) * len(before)] * 4
         assert blas_threads() == before
 
 

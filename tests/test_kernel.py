@@ -56,6 +56,15 @@ class TestKernelMatrix:
         np.testing.assert_array_equal(kernel_matrix(X, WeightingConfig(kernel_gamma=0.3)),
                                       expected)
 
+    @pytest.mark.parametrize("l", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   3 * ROW_BLOCK + 5])
+    def test_kernel_and_distances_bit_symmetric(self, rng, l):
+        # the median class geometry reads the transpose of each class block
+        K = kernel_matrix(rng.normal(size=(l, 7)), WeightingConfig(kernel_gamma=0.3))
+        assert np.array_equal(K, K.T)
+        D = feature_space_distance_matrix(K)
+        assert np.array_equal(D, D.T)
+
 
 class TestFeatureSpaceDistance:
     def test_zero_for_identical(self):
@@ -138,6 +147,17 @@ class TestCenters:
         K = np.array([[1.0, 0.2], [0.2, 1.0]])
         geo = build_class_geometry([0, 0], K, "median")
         np.testing.assert_allclose(geo.distances, np.sqrt(0.32), rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 7, 40, 131])
+    def test_median_geometry_equals_np_median_bit_for_bit(self, rng, rows):
+        y = rng.integers(0, 2, size=rows)
+        y[:2] = [0, 1]
+        K = kernel_matrix(rng.normal(size=(rows, 4)), W1)
+        geo = build_class_geometry(y, K, "median")
+        for j in np.unique(y):
+            block = K[np.ix_(y == j, y == j)]
+            expected = np.sqrt(np.add.reduce((block - np.median(block, axis=0)) ** 2, axis=1))
+            assert geo.distances[y == j].tobytes() == expected.tobytes()
 
     def test_distance_to_median_center_zero(self):
         assert build_class_geometry([0], np.array([[1.0]]), "median").distances[0] == 0.0
