@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import DataError, _csv_records, _read_text, load_csv, read_features
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
-    grid_search, worker_pool
+    grid_search, grid_workers, worker_pool
 from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
     save_model, train
 from .solver import SolverError
@@ -288,11 +288,12 @@ def cmd_bench(args):
     grid = _grid_spec(args, manifest, manifest.get("grid", {}), args.manifest)
 
     dataset_names, rows = [], []
-    with worker_pool(args.jobs) as pool:  # one set of workers for every grid
+    jobs = grid_workers(args.jobs, models, grid)
+    with worker_pool(jobs) as pool:  # one set of workers for every grid
         for i, entry in enumerate(entries):
             ds = _load_dataset(None, entry, f"{args.manifest}: dataset {i}")
             dataset_names.append(ds.name)
-            rows.append([grid_search(ds, m, grid, jobs=args.jobs, pool=pool).best_mean
+            rows.append([grid_search(ds, m, grid, jobs=jobs, pool=pool).best_mean
                          for m in models])
 
     table = BenchmarkTable.from_accuracy(models, dataset_names, np.array(rows))

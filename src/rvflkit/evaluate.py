@@ -16,7 +16,7 @@ Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
 each pool worker's entry point. ``grid_search(jobs=N)`` uses N cores through N
 worker processes from ``worker_pool``; a caller that runs many grids, such as
-``bench``, passes one pool to all of them.
+``bench``, passes one pool to all of them, of at most ``grid_workers`` processes.
 """
 
 from __future__ import annotations
@@ -191,6 +191,15 @@ def _shared_groups(configs) -> list[list[int]]:
     for i, config in enumerate(configs):
         groups.setdefault(config.weighting, {}).setdefault(config.hidden_nodes, []).append(i)
     return [idx for by_hidden in groups.values() for idx in by_hidden.values()]
+
+
+def grid_workers(jobs: int, variants, grid: GridSpec) -> int:
+    """The most workers ``grid_search`` can keep busy at ``jobs`` on grids of ``variants``:
+    a grid splits into at most one chunk per shared group."""
+    if jobs <= 1:
+        return jobs
+    return min(jobs, max((len(_shared_groups(enumerate_configs(v, grid))) for v in variants),
+                         default=1))
 
 
 @dataclass(frozen=True)

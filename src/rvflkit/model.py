@@ -5,6 +5,13 @@ maps normalized inputs to the design matrix with ``forward`` and solves the
 (r-weighted) ridge problem with ``fit_output_weights``. All of them run with one
 BLAS thread (``solver.single_blas_thread``), so their results do not depend on
 the core count.
+
+``forward`` allocates only the design matrix: ``design_matrix`` lays out one
+C-ordered (l, n + L) array [X, H] (l x L without the direct link), copies X into
+its leading columns, and ``hidden_matrix`` writes X W into the rest with one
+whole GEMM, then adds b and applies the activation in place. The bytes equal
+those of ``hstack([X, g(X @ W + b)])``; a row-blocked GEMM, or one into a block
+that is not row-major, would not give them.
 """
 
 from __future__ import annotations
@@ -91,36 +98,43 @@ def init_random_layer(n_features: int, hidden_nodes: int, seed: int) -> RandomLa
     return RandomLayer(W, b)
 
 
-def _activate(Z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(Z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
     if activation == "sigmoid":
-        return expit(Z)
+        return expit(Z, out=out)
     if activation == "tanh":
-        return np.tanh(Z)
+        return np.tanh(Z, out=out)
     if activation == "relu":
-        return np.maximum(Z, 0.0)
+        return np.maximum(Z, 0.0, out=out)
     raise ModelError(f"unknown activation {activation!r}")
 
 
-def hidden_matrix(X: np.ndarray, layer: RandomLayer, activation: str) -> np.ndarray:
+def hidden_matrix(X: np.ndarray, layer: RandomLayer, activation: str,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """g(X W + b), written into ``out`` (l, L), a row-major block, when given."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != layer.input_weights.shape[0]:
         raise ModelError(f"feature count {X.shape[1]} does not match layer "
                          f"({layer.input_weights.shape[0]})")
-    return _activate(X @ layer.input_weights + layer.bias, activation)
+    H = np.matmul(X, layer.input_weights, out=out)
+    H += layer.bias
+    return _activate(H, activation, out=H)
 
 
-def design_matrix(X: np.ndarray, A1: np.ndarray, direct_link: bool) -> np.ndarray:
-    if X.shape[0] != A1.shape[0]:
-        raise ModelError("row counts differ between inputs and hidden activations")
-    if direct_link:
-        return np.hstack([X, A1])
-    return A1
+def design_matrix(X: np.ndarray, layer: RandomLayer, activation: str,
+                  direct_link: bool) -> np.ndarray:
+    """[X, hidden] with the direct link, else hidden, as one C-ordered array."""
+    if not direct_link:
+        return hidden_matrix(X, layer, activation)
+    n = X.shape[1]
+    design = np.empty((X.shape[0], n + layer.bias.shape[0]))
+    design[:, :n] = X
+    hidden_matrix(X, layer, activation, out=design[:, n:])
+    return design
 
 
 def forward(Xn: np.ndarray, layer: RandomLayer, config: ModelConfig) -> np.ndarray:
     """Design matrix of normalized inputs: [Xn, hidden] with the direct link, else hidden."""
-    A1 = hidden_matrix(Xn, layer, config.activation)
-    return design_matrix(Xn, A1, config.direct_link)
+    return design_matrix(Xn, layer, config.activation, config.direct_link)
 
 
 def fit_output_weights(design: np.ndarray, Y: np.ndarray, r: np.ndarray | None,

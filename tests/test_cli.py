@@ -243,6 +243,29 @@ class TestBench:
         assert tables[0] == tables[1]
         assert pools == [2]  # one pool for all four grids
 
+    def test_pool_capped_at_most_chunks_of_any_grid(self, toy_csv, tmp_path, capsys,
+                                                    monkeypatch):
+        # rvfl's grid has 2 groups and r2vfl-m's 4, so no grid splits into more than 4 chunks
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        tables = []
+        for jobs in ("1", "64"):
+            outdir = tmp_path / f"jobs{jobs}"
+            code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(outdir),
+                          "--jobs", jobs)
+            assert code == 0
+            tables.append([(outdir / name).read_bytes() for name in ("accuracy.csv",
+                                                                      "ranks.csv")])
+        assert tables[0] == tables[1]
+        assert pools == [4]
+
     def test_failing_grid_in_shared_pool_is_one_line_error(self, tmp_path, capsys):
         # two rows of two classes: at k = 2 every fold misses a class and is skipped
         tiny = tmp_path / "tiny.csv"

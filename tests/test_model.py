@@ -1,16 +1,18 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from rvflkit.data import Dataset, apply_normalization, one_hot
-from rvflkit.model import MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, ModelFormatError, \
-    RandomLayer, _activate, design_matrix, hidden_matrix, init_random_layer, load_model, predict, \
-    predict_scores, save_model, train
-from rvflkit.solver import solve_primal
+from rvflkit.data import Dataset, NormalizationParams, apply_normalization, one_hot
+from rvflkit.model import ACTIVATIONS, MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, \
+    ModelFormatError, RandomLayer, TrainedModel, _activate, design_matrix, forward, \
+    hidden_matrix, init_random_layer, load_model, predict, predict_scores, save_model, train
+from rvflkit.solver import single_blas_thread, solve_primal
 from rvflkit.weighting import WeightingConfig
 from conftest import fit_with_unit_scores, masked_sigmoid, random_dataset
 
@@ -83,18 +85,86 @@ class TestSigmoid:
 class TestDesignMatrix:
     def test_concatenation_shape(self, rng):
         X = rng.normal(size=(2, 3))
-        A1 = rng.normal(size=(2, 5))
-        assert design_matrix(X, A1, True).shape == (2, 8)
+        layer = init_random_layer(3, 5, seed=0)
+        assert design_matrix(X, layer, "sigmoid", True).shape == (2, 8)
 
     def test_no_direct_link(self, rng):
         X = rng.normal(size=(2, 3))
-        A1 = rng.normal(size=(2, 5))
-        np.testing.assert_array_equal(design_matrix(X, A1, False), A1)
+        layer = init_random_layer(3, 5, seed=0)
+        np.testing.assert_array_equal(design_matrix(X, layer, "sigmoid", False),
+                                      hidden_matrix(X, layer, "sigmoid"))
 
     def test_input_columns_first(self, rng):
         X = rng.normal(size=(3, 2))
-        A1 = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(design_matrix(X, A1, True)[:, :2], X)
+        layer = init_random_layer(2, 4, seed=0)
+        np.testing.assert_array_equal(design_matrix(X, layer, "sigmoid", True)[:, :2], X)
+
+
+ACTIVATION_ORACLES = {"sigmoid": expit, "tanh": np.tanh, "relu": lambda Z: np.maximum(Z, 0.0)}
+
+
+class TestForward:
+    """``forward`` builds [Xn, hidden] in one buffer; its bytes must equal those of the
+    separate arrays it replaced."""
+
+    # (rows, features, hidden nodes): one row, one hidden node, one feature, a dual
+    # shape (more columns than rows), and a large prediction
+    SHAPES = [(1, 4, 7), (30, 4, 1), (30, 1, 9), (5, 3, 12), (20000, 20, 203)]
+
+    @staticmethod
+    def reference(Xn, layer, config):
+        H = ACTIVATION_ORACLES[config.activation](Xn @ layer.input_weights + layer.bias)
+        return np.hstack([Xn, H]) if config.direct_link else H
+
+    @staticmethod
+    def model(rng, n, L, config, n_classes=3):
+        layer = init_random_layer(n, L, seed=1)
+        norm = NormalizationParams(rng.normal(size=n), rng.uniform(0.5, 2.0, size=n))
+        W2 = rng.normal(size=(n * config.direct_link + L, n_classes))
+        return TrainedModel(layer, W2, norm, config, tuple("abc"[:n_classes]))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("variant", ["rvfl", "elm"])
+    def test_bytes_equal_separate_arrays(self, rng, variant, activation, shape):
+        l, n, L = shape
+        config = ModelConfig(variant, L, 1.0, activation=activation)
+        model = self.model(rng, n, L, config)
+        X = rng.normal(size=(l, n))
+        Xn = apply_normalization(X, model.normalization)
+        with single_blas_thread():  # the thread count of every fit and prediction
+            D = forward(Xn, model.random_layer, config)
+            ref = self.reference(Xn, model.random_layer, config)
+            ref_scores = ref @ model.output_weights
+        # the Gram's D.T @ D and the scoring GEMM see the old layout only if D is C-ordered
+        assert D.flags.c_contiguous and D.shape == ref.shape
+        assert D.tobytes() == ref.tobytes()
+        assert predict_scores(model, X).tobytes() == ref_scores.tobytes()
+
+    def test_forward_allocates_only_its_result(self, rng):
+        config = ModelConfig("rvfl", 203, 1.0)
+        layer = init_random_layer(20, 203, seed=1)
+        Xn = rng.uniform(size=(20000, 20))
+        tracemalloc.start()
+        try:
+            D = forward(Xn, layer, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert D.nbytes <= peak <= D.nbytes + 2**20
+
+    def test_predict_scores_allocates_design_normalization_and_scores(self, rng):
+        model = self.model(rng, 20, 203, ModelConfig("rvfl", 203, 1.0))
+        X = rng.normal(size=(20000, 20))
+        tracemalloc.start()
+        try:
+            scores = predict_scores(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = 20000 * (20 + 203) * 8
+        # (X - minimum) and its quotient by the range are alive together for a moment
+        assert peak <= design + 2 * X.nbytes + scores.nbytes + 2**20
 
 
 class TestTrain:
@@ -133,8 +203,7 @@ class TestTrain:
         cfg = ModelConfig("r2vfl-a", 9, 10.0, seed=2, weighting=WCFG)
         model = train(ds, cfg)
         Xn = apply_normalization(ds.features, model.normalization)
-        A1 = hidden_matrix(Xn, model.random_layer, cfg.activation)
-        A2 = design_matrix(Xn, A1, True)
+        A2 = design_matrix(Xn, model.random_layer, cfg.activation, True)
         r = model.scores.r
         B2 = r[:, None] * A2
         RY = r[:, None] * one_hot(ds.labels, ds.n_classes)
