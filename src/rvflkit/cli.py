@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,6 @@ def _load_overlay(path):
     return overlay
 
 
-_GRID_AXES = ("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid")
 # What each JSON setting must be, by its JSON type (a bool is never a number).
 _KINDS = {
     "an integer": lambda v: type(v) is int,
@@ -61,7 +61,7 @@ SETTING_TYPES = {
     **dict.fromkeys(("hidden", "k", "seed"), "an integer"),
     **dict.fromkeys(("gamma", "kernel_gamma", "tau", "delta", "delta_quantile"), "a number"),
     **dict.fromkeys(("variant", "activation", "name", "path"), "a string"),
-    **dict.fromkeys(_GRID_AXES, "a list of numbers"),
+    **dict.fromkeys(("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid"), "a list of numbers"),
     "has_header": "true or false", "label_column": '"last" or an integer',
     "models": "a list of strings",
 }
@@ -92,16 +92,16 @@ def _model_config(args, overlay, source) -> ModelConfig:
     if variant in CENTER_SCHEMES:
         weighting = WeightingConfig(
             kernel_gamma=setting("kernel_gamma", 1.0),
-            tau_multiplier=setting("tau", 1.0),
-            delta=setting("delta", None),
-            delta_quantile=setting("delta_quantile", 0.5),
+            tau_multiplier=setting("tau", WeightingConfig.tau_multiplier),
+            delta=setting("delta", WeightingConfig.delta),
+            delta_quantile=setting("delta_quantile", WeightingConfig.delta_quantile),
         )
     return ModelConfig(
         variant=variant,
         hidden_nodes=setting("hidden", 103),
         gamma=setting("gamma", 1.0),
-        activation=setting("activation", "sigmoid"),
-        seed=setting("seed", 0),
+        activation=setting("activation", ModelConfig.activation),
+        seed=setting("seed", ModelConfig.seed),
         weighting=weighting,
     )
 
@@ -124,6 +124,23 @@ def _data_settings(args, overlay, source):
 def _load_dataset(args, overlay, source):
     return load_csv(*_data_settings(args, overlay, source),
                     name=_resolve(args, overlay, "name", None, source))
+
+
+def _checked(convert, ok, what):
+    """A flag's type: ``convert`` its text, then require ``ok`` of the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_jobs = _checked(int, lambda jobs: jobs >= 1, "an integer >= 1")
+_alpha = _checked(float, lambda alpha: 0 < alpha < 1, "a number strictly between 0 and 1")
 
 
 def _finite(cell: str, path, row: str) -> float:
@@ -210,7 +227,7 @@ def cmd_cv(args):
     overlay = _load_overlay(args.config)
     dataset = _load_dataset(args, overlay, args.config)
     config = _model_config(args, overlay, args.config)
-    k = _resolve(args, overlay, "k", 5, args.config)
+    k = _resolve(args, overlay, "k", GridSpec.k, args.config)
     result = cross_validate(dataset, config, k, config.seed)
     folds = [round(a, 4) for a in result.fold_accuracies]
     payload = {f"fold_{i}": a for i, a in enumerate(folds)}
@@ -222,15 +239,14 @@ def cmd_cv(args):
 
 
 def _grid_spec(args, overlay, axes, source) -> GridSpec:
-    """The grid of ``grid`` and ``bench``: the axes from the JSON object ``axes``; k, seed
-    and the delta settings from flags or ``overlay``; GridSpec's defaults for the rest."""
+    """The grid of ``grid`` and ``bench``: the ``*_grid`` axes from the JSON object
+    ``axes``, every other GridSpec field from a flag or ``overlay``; GridSpec's defaults
+    for the rest."""
     if not isinstance(axes, dict):
         raise DataError(f"{source}: the grid must be a JSON object")
-    spec = {}
-    for key in _GRID_AXES + ("k", "seed", "delta", "delta_quantile"):
-        entries = axes if key in _GRID_AXES else overlay
-        spec[key] = _resolve(args, entries, key, getattr(GridSpec, key), source)
-    return GridSpec(**spec)
+    return GridSpec(**{f.name: _resolve(args, axes if f.name.endswith("_grid") else overlay,
+                                        f.name, f.default, source)
+                       for f in fields(GridSpec)})
 
 
 def _write_trace(path, result):
@@ -427,7 +443,7 @@ def build_parser() -> _Parser:
     add_data(p); add_common(p)
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--grid-file", dest="grid_file", help="JSON grid overrides")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", help="write the full trace CSV here")
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
@@ -439,7 +455,7 @@ def build_parser() -> _Parser:
     p.add_argument("--models", type=lambda text: text.split(","),
                    help="comma-separated model list override")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="model-comparison statistics")
@@ -467,7 +483,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--table", required=True)
     sp.add_argument("--a", required=True, help="first model column")
     sp.add_argument("--b", required=True, help="second model column")
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_alpha, default=0.05)
     sp.set_defaults(func=cmd_stats_wilcoxon)
 
     return parser

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +118,9 @@ class _FoldContext:
         self._kernel_cache: dict = {}
 
     def _kernel_entry(self, w: WeightingConfig, scheme: str):
-        """``kernel_scores`` (cp and the class geometry) for a weighting's kernel and delta
-        settings and a center scheme; they do not depend on tau."""
-        key = (w.kernel_gamma, w.delta, w.delta_quantile, scheme)
+        """``kernel_scores`` (cp and the class geometry) for a weighting and a center
+        scheme; they do not depend on tau, so the key is the weighting at tau = 1."""
+        key = (replace(w, tau_multiplier=1.0), scheme)
         if key not in self._kernel_cache:
             self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme)
         return self._kernel_cache[key]

@@ -7,9 +7,9 @@ BLAS thread (``solver.single_blas_thread``), so their results do not depend on
 the core count.
 
 ``forward`` allocates only the design matrix: ``design_matrix`` lays out one
-C-ordered (l, n + L) array [X, H] (l x L without the direct link), copies X into
-its leading columns, and ``hidden_matrix`` writes X W into the rest with one
-whole GEMM, then adds b and applies the activation in place. The bytes equal
+C-ordered (l, n + L) array [X, H] (n = 0 input columns without the direct link),
+copies X into its leading columns, and ``hidden_matrix`` writes X W into the rest
+with one whole GEMM, then adds b and applies the activation in place. The bytes equal
 those of ``hstack([X, g(X @ W + b)])``; a row-blocked GEMM, or one into a block
 that is not row-major, would not give them.
 """
@@ -21,7 +21,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -123,11 +123,9 @@ def hidden_matrix(X: np.ndarray, layer: RandomLayer, activation: str,
 def design_matrix(X: np.ndarray, layer: RandomLayer, activation: str,
                   direct_link: bool) -> np.ndarray:
     """[X, hidden] with the direct link, else hidden, as one C-ordered array."""
-    if not direct_link:
-        return hidden_matrix(X, layer, activation)
-    n = X.shape[1]
+    n = X.shape[1] if direct_link else 0
     design = np.empty((X.shape[0], n + layer.bias.shape[0]))
-    design[:, :n] = X
+    design[:, :n] = X[:, :n]
     hidden_matrix(X, layer, activation, out=design[:, n:])
     return design
 
@@ -213,27 +211,10 @@ def _read_array(buf: io.BytesIO) -> np.ndarray:
 
 def save_model(model: TrainedModel, path) -> None:
     """Serialize: magic, version, JSON header, float64 payloads, sha256 checksum."""
-    cfg = model.config
-    header = {
-        "variant": cfg.variant,
-        "hidden_nodes": cfg.hidden_nodes,
-        "gamma": cfg.gamma,
-        "activation": cfg.activation,
-        "seed": cfg.seed,
-        "class_names": list(model.class_names),
-        "n_features": model.n_features,
-        "has_scores": model.scores is not None,
-        "weighting": None,
-    }
-    if cfg.weighting is not None:
-        w = cfg.weighting
-        header["weighting"] = {
-            "kernel_gamma": w.kernel_gamma,
-            "tau_multiplier": w.tau_multiplier,
-            "center_scheme": CENTER_SCHEMES[cfg.variant],
-            "delta": w.delta,
-            "delta_quantile": w.delta_quantile,
-        }
+    header = {**asdict(model.config), "class_names": list(model.class_names),
+              "n_features": model.n_features, "has_scores": model.scores is not None}
+    if header["weighting"] is not None:
+        header["weighting"]["center_scheme"] = CENTER_SCHEMES[model.config.variant]
     buf = io.BytesIO()
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
     buf.write(struct.pack("<I", len(hjson)))
@@ -275,29 +256,27 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError(f"malformed model file ({type(exc).__name__}: {exc})") from exc
 
 
+def _from_header(cls, entries: dict):
+    """A config dataclass from the header entries named after its fields."""
+    return cls(**{f.name: entries[f.name] for f in fields(cls)})
+
+
 def _parse_payload(payload: bytes) -> TrainedModel:
     buf = io.BytesIO(payload)
     (hlen,) = struct.unpack("<I", buf.read(4))
     header = json.loads(buf.read(hlen).decode("utf-8"))
 
-    weighting = None
-    if header["weighting"] is not None:
-        w = header["weighting"]
-        if w["center_scheme"] != CENTER_SCHEMES.get(header["variant"]):
-            raise ModelFormatError(f"center scheme {w['center_scheme']!r} does not match "
-                                   f"variant {header['variant']!r}")
-        weighting = WeightingConfig(
-            kernel_gamma=w["kernel_gamma"],
-            tau_multiplier=w["tau_multiplier"],
-            delta=w["delta"],
-            delta_quantile=w["delta_quantile"],
-        )
-    config = ModelConfig(
-        variant=header["variant"], hidden_nodes=header["hidden_nodes"],
-        gamma=header["gamma"], activation=header["activation"],
-        seed=header["seed"], weighting=weighting,
-    )
+    weighting = header["weighting"]
+    if weighting is not None:
+        if weighting["center_scheme"] != CENTER_SCHEMES.get(header["variant"]):
+            raise ModelFormatError(f"center scheme {weighting['center_scheme']!r} does not "
+                                   f"match variant {header['variant']!r}")
+        weighting = _from_header(WeightingConfig, weighting)
+    config = _from_header(ModelConfig, {**header, "weighting": weighting})
     layer = RandomLayer(_read_array(buf), _read_array(buf))
+    if layer.input_weights.shape[0] != header["n_features"]:
+        raise ModelFormatError(f"the header's {header['n_features']} features do not match "
+                               f"the stored layer's {layer.input_weights.shape[0]}")
     W2 = _read_array(buf)
     norm = NormalizationParams(_read_array(buf), _read_array(buf))
     scores = None

@@ -71,8 +71,8 @@ def nemenyi_cd(q_alpha: float, n_models: int, n_datasets: int) -> float:
     """Critical difference q_alpha * sqrt(p(p+1) / (6 D))."""
     if n_models < 2 or n_datasets < 1:
         raise StatsError("need at least 2 models and 1 dataset")
-    if not q_alpha > 0:
-        raise StatsError("q_alpha must be positive")
+    if not 0 < q_alpha < np.inf:
+        raise StatsError(f"q_alpha must be positive and finite, got {q_alpha!r}")
     p, D = n_models, n_datasets
     return float(q_alpha * np.sqrt(p * (p + 1) / (6.0 * D)))
 

@@ -137,8 +137,8 @@ class WeightingConfig:
         if not 0 < self.kernel_gamma < np.inf:
             raise WeightingError(
                 f"kernel gamma must be positive and finite, got {self.kernel_gamma!r}")
-        if self.delta is not None and not self.delta > 0:
-            raise WeightingError("delta must be positive")
+        if self.delta is not None and not 0 < self.delta < np.inf:
+            raise WeightingError(f"delta must be positive and finite, got {self.delta!r}")
         if not 0 < self.delta_quantile < 1:
             raise WeightingError("delta quantile must lie in (0, 1)")
         if not 0 < self.tau_multiplier <= 1:

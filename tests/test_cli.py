@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 import rvflkit
 from rvflkit import cli
-from rvflkit.cli import main
+from rvflkit.cli import SETTING_TYPES, main
+from rvflkit.evaluate import GridSpec
 from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
@@ -323,6 +325,9 @@ def _write(path, text):
     return str(path)
 
 
+BAD_ALPHAS = ("0", "1", "-0.1", "7", "nan")
+
+
 @pytest.mark.parametrize("case, code", [
     ("manifest_is_list", 2),
     ("manifest_without_datasets", 2),
@@ -368,6 +373,13 @@ def _write(path, text):
     ("ranks_extra_row", 2),
     ("label_column_text", 1),
     ("label_column_negative", 2),
+    *((f"wilcoxon_alpha_{alpha}", 1) for alpha in BAD_ALPHAS),
+    ("nemenyi_q_alpha_inf", 2),
+    ("cv_delta_inf", 2),
+    ("grid_delta_infinity", 2),
+    ("grid_jobs_0", 1),
+    ("grid_jobs_negative", 1),
+    ("bench_jobs_0", 1),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -453,7 +465,19 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
         "label_column_text": ["cv", "--data", data, "--variant", "rvfl", "--label-column", "x"],
         "label_column_negative": ["cv", "--data", data, "--variant", "rvfl",
                                   "--label-column", "-1"],
+        "nemenyi_q_alpha_inf": ["stats", "nemenyi", "--ranks", ranks, "--datasets", "30",
+                                "--q-alpha", "inf", "--format", "json"],
+        "cv_delta_inf": ["cv", "--data", data, "--variant", "r2vfl-m", "--delta", "inf"],
+        "grid_delta_infinity": ["grid", "--data", data, "--variant", "r2vfl-a", "--grid-file",
+                                _write(tmp_path / "delta_inf.json", '{"delta": Infinity}')],
+        "grid_jobs_0": ["grid", "--data", data, "--variant", "rvfl", "--jobs", "0"],
+        "grid_jobs_negative": ["grid", "--data", data, "--variant", "rvfl", "--jobs", "-3"],
+        "bench_jobs_0": ["bench", "--out", out, "--jobs", "0", "--manifest", _write(
+            tmp_path / "bench_jobs.json", bench % (data, "{}"))],
     }.get(case)
+    if case.startswith("wilcoxon_alpha_"):
+        argv = ["stats", "wilcoxon", "--table", str(FIXTURES / "eeg_accuracy.csv"),
+                "--a", "rvfl", "--b", "r2vfl_m", "--alpha", case.rpartition("_")[2]]
     cv_settings = {
         "cv_hidden_fraction": '{"variant": "rvfl", "hidden": 3.9}',
         "cv_k_fraction": '{"variant": "rvfl", "k": 2.7}',
@@ -496,7 +520,14 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "ranks_extra_row": "extra_row.csv must hold 2 rows, a header row of model names "
                                "and a row of ranks; it holds 3",
             "label_column_text": "argument --label-column",
-            "label_column_negative": "label column -1 out of range"}.get(case, "") in err
+            "label_column_negative": "label column -1 out of range",
+            "nemenyi_q_alpha_inf": "q_alpha must be positive and finite",
+            "cv_delta_inf": "delta must be positive and finite",
+            "grid_delta_infinity": "delta must be positive and finite",
+            "grid_jobs_0": "argument --jobs", "grid_jobs_negative": "argument --jobs",
+            "bench_jobs_0": "argument --jobs",
+            **dict.fromkeys((f"wilcoxon_alpha_{alpha}" for alpha in BAD_ALPHAS),
+                            "argument --alpha")}.get(case, "") in err
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array with shape "
@@ -572,6 +603,12 @@ def test_import_loads_no_scipy_stats(module):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout == "[]\n"  # also: the import prints nothing
+
+
+def test_every_grid_spec_field_has_a_setting_kind():
+    # _grid_spec reads every GridSpec field from JSON; one without a kind would raise
+    # a bare KeyError there
+    assert {f.name for f in fields(GridSpec)} <= set(SETTING_TYPES)
 
 
 def test_help_available(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -217,6 +219,28 @@ class TestSharedRidgePath:
         assert calls["geometry"] == len(grid.kernel_grid) * grid.k
         assert calls["kernel"] == len(grid.kernel_grid) * grid.k
         assert calls["huber"] == len(grid.hidden_grid) * weightings * grid.k
+
+    @pytest.mark.parametrize("change", [{}, {"kernel_gamma": 2.0}, {"delta": 0.5},
+                                        {"delta_quantile": 0.3}],
+                             ids=["tau_only", "kernel_gamma", "delta", "delta_quantile"])
+    def test_fold_cache_shares_kernel_scores_across_tau_only(self, rng, monkeypatch, change):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return rvflkit.weighting.kernel_scores(*args)
+
+        monkeypatch.setattr(rvflkit.evaluate, "kernel_scores", counting)
+        ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
+        base = WeightingConfig(kernel_gamma=1.0)
+        weightings = (base, replace(base, tau_multiplier=0.5),
+                      replace(base, tau_multiplier=0.75, **change))
+        configs = [ModelConfig("r2vfl-m", 5, 1.0, weighting=w) for w in weightings]
+        accs, _ = rvflkit.evaluate._fold_accuracies(ds, configs, 3, 0)
+        assert not np.isnan(accs).any()
+        # one call per fold for the weightings that differ in tau only, one more per fold
+        # for a weighting that differs in another field
+        assert calls == ([base, weightings[2]] if change else [base]) * 3
 
     def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
         lu_calls = []

@@ -3,6 +3,7 @@ import json
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,8 +92,9 @@ class TestDesignMatrix:
     def test_no_direct_link(self, rng):
         X = rng.normal(size=(2, 3))
         layer = init_random_layer(3, 5, seed=0)
-        np.testing.assert_array_equal(design_matrix(X, layer, "sigmoid", False),
-                                      hidden_matrix(X, layer, "sigmoid"))
+        design = design_matrix(X, layer, "sigmoid", False)
+        np.testing.assert_array_equal(design, hidden_matrix(X, layer, "sigmoid"))
+        assert design.flags.c_contiguous and design.base is None
 
     def test_input_columns_first(self, rng):
         X = rng.normal(size=(3, 2))
@@ -246,6 +248,31 @@ class TestPredict:
             predict_scores(model, np.zeros((2, 3)))
 
 
+GOLDEN = Path(__file__).parent / "golden"
+# The models under tests/golden/: save_model(train(golden_dataset(), config)) at commit
+# 5920cf1, which wrote the header field by field. Their labels on golden_probe().
+GOLDEN_MODELS = {
+    "r2vfl-m.rvfl": (ModelConfig("r2vfl-m", 7, 10.0, activation="tanh", seed=11,
+                                 weighting=WeightingConfig(kernel_gamma=0.5, tau_multiplier=0.75,
+                                                           delta_quantile=0.3)),
+                     [2, 2, 1, 1, 2, 2, 2, 2]),
+    "elm.rvfl": (ModelConfig("elm", 6, 2.0, activation="relu", seed=5), [1, 1, 1, 1, 0, 0, 1, 0]),
+}
+# Every key of a robust model's header; "weighting.x" is key x of the weighting entry.
+HEADER_KEYS = ("activation", "class_names", "gamma", "has_scores", "hidden_nodes", "n_features",
+               "seed", "variant", "weighting", "weighting.center_scheme", "weighting.delta",
+               "weighting.delta_quantile", "weighting.kernel_gamma", "weighting.tau_multiplier")
+
+
+def golden_dataset():
+    rng = np.random.default_rng(2024)
+    return Dataset(rng.normal(size=(30, 3)), np.arange(30) % 3, ("a", "b", "c"))
+
+
+def golden_probe():
+    return np.random.default_rng(7).normal(size=(8, 3))
+
+
 class TestSerialization:
     def make(self, rng, variant="r2vfl-m"):
         ds = random_dataset(rng, n_samples=14, n_classes=2)
@@ -269,6 +296,27 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.output_weights, model.output_weights)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_golden_file_loads_and_saves_byte_for_byte(self, name, tmp_path):
+        config, labels = GOLDEN_MODELS[name]
+        model = load_model(GOLDEN / name)
+        assert model.config == config
+        assert model.class_names == ("a", "b", "c")
+        assert predict(model, golden_probe())[1].tolist() == labels
+        np.testing.assert_allclose(predict_scores(model, golden_probe()),
+                                   predict_scores(train(golden_dataset(), config), golden_probe()),
+                                   rtol=1e-12, atol=1e-12)
+        save_model(model, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_header_keys(self, rng, tmp_path):
+        _, model = self.make(rng)
+        save_model(model, tmp_path / "m.rvfl")
+        payload = (tmp_path / "m.rvfl").read_bytes()[len(MODEL_MAGIC) + 4:-32]
+        (hlen,) = struct.unpack_from("<I", payload)
+        header = json.loads(payload[4:4 + hlen])
+        assert set(HEADER_KEYS) == set(header) | {f"weighting.{k}" for k in header["weighting"]}
 
     def test_corrupted_payload(self, rng, tmp_path):
         _, model = self.make(rng)
@@ -297,7 +345,9 @@ class TestSerialization:
             load_model(p)
 
     @pytest.mark.parametrize("case", ["missing_keys", "header_length_past_end", "no_arrays",
-                                      "center_scheme_of_other_variant"])
+                                      "center_scheme_of_other_variant",
+                                      "n_features_of_other_layer",
+                                      *(f"without_{key}" for key in HEADER_KEYS)])
     def test_malformed_payload_with_valid_checksum(self, rng, tmp_path, case):
         _, model = self.make(rng)
         path = tmp_path / "m.rvfl"
@@ -308,17 +358,24 @@ class TestSerialization:
         if case == "missing_keys":
             header = json.dumps({"variant": "r2vfl-m"}).encode()
             payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
-        elif case == "center_scheme_of_other_variant":
-            fields = json.loads(header)
-            assert fields["weighting"]["center_scheme"] == "median"
-            fields["weighting"]["center_scheme"] = "average"
-            header = json.dumps(fields, sort_keys=True).encode()
-            payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
         elif case == "header_length_past_end":
             payload = struct.pack("<I", hlen + 100) + header
-        else:
+        elif case == "no_arrays":
             payload = payload[:4 + hlen]
+        else:
+            fields = json.loads(header)
+            if case == "center_scheme_of_other_variant":
+                assert fields["weighting"]["center_scheme"] == "median"
+                fields["weighting"]["center_scheme"] = "average"
+            elif case == "n_features_of_other_layer":
+                fields["n_features"] += 1
+            else:  # a header without one key; "weighting.x" is key x of the weighting entry
+                entry, _, key = case.removeprefix("without_").rpartition(".")
+                del (fields[entry] if entry else fields)[key]
+            header = json.dumps(fields, sort_keys=True).encode()
+            payload = struct.pack("<I", len(header)) + header + payload[4 + hlen:]
         path.write_bytes(MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + payload
                          + hashlib.sha256(payload).digest())
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=(
+                "malformed model file" if case.startswith("without_") else None)):
             load_model(path)

@@ -43,6 +43,12 @@ class TestFriedman:
 
 
 class TestNemenyi:
+    @pytest.mark.parametrize("q_alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_q_alpha_positive_and_finite(self, q_alpha):
+        # an infinite critical difference would print as JSON's non-standard Infinity
+        with pytest.raises(StatsError, match="q_alpha must be positive and finite"):
+            nemenyi_cd(q_alpha, 5, 10)
+
     def test_binary_benchmark_cd(self):
         assert nemenyi_cd(3.164, 10, 30) == pytest.approx(2.4734, abs=0.0005)
 

@@ -165,6 +165,12 @@ class TestResolveDelta:
         with pytest.raises(WeightingError):
             WeightingConfig(kernel_gamma=1.0, tau_multiplier=1.5)
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_delta_must_be_finite(self, delta):
+        # an infinite delta would put every sample in every neighbourhood
+        with pytest.raises(WeightingError, match="delta must be positive and finite"):
+            WeightingConfig(kernel_gamma=1.0, delta=delta)
+
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), l=st.integers(2, 400),
