@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import DataError, _csv_records, _read_text, load_csv, read_features
 from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
-    grid_search, grid_workers, worker_pool
+    enumerate_configs, grid_search, worker_pool
 from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
     save_model, train
 from .solver import SolverError
@@ -104,16 +105,6 @@ def _model_config(args, overlay, source) -> ModelConfig:
         seed=setting("seed", ModelConfig.seed),
         weighting=weighting,
     )
-
-
-def _label_column(text):
-    """``--label-column``, typed like its JSON setting: "last" or an integer."""
-    if text == "last":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f'must be "last" or an integer, got {text!r}') from None
 
 
 def _data_settings(args, overlay, source):
@@ -293,6 +284,13 @@ def _write_named_rows(path, header, rows):
         writer.writerows([name] + [f"{v:.4f}" for v in values] for name, values in rows)
 
 
+def _best_mean(dataset, variant, grid):
+    """One task of ``bench``: the best mean CV accuracy of a whole serial grid. A pool
+    pickles this function by name; it calls ``grid_search`` through this module, so a
+    wrapper installed here (perfbench's tracer) runs in the workers too."""
+    return grid_search(dataset, variant, grid).best_mean
+
+
 def cmd_bench(args):
     manifest = _load_overlay(args.manifest)
     entries = manifest.get("datasets")
@@ -302,17 +300,25 @@ def cmd_bench(args):
                         "that each give a \"path\"")
     models = _resolve(args, manifest, "models", VARIANTS, args.manifest)
     grid = _grid_spec(args, manifest, manifest.get("grid", {}), args.manifest)
+    # an unknown variant fails here, before any dataset loads or grid runs
+    n_configs = [len(enumerate_configs(m, grid)) for m in models]
+    datasets = [_load_dataset(None, entry, f"{args.manifest}: dataset {i}")
+                for i, entry in enumerate(entries)]
 
-    dataset_names, rows = [], []
-    jobs = grid_workers(args.jobs, models, grid)
-    with worker_pool(jobs) as pool:  # one set of workers for every grid
-        for i, entry in enumerate(entries):
-            ds = _load_dataset(None, entry, f"{args.manifest}: dataset {i}")
-            dataset_names.append(ds.name)
-            rows.append([grid_search(ds, m, grid, jobs=jobs, pool=pool).best_mean
-                         for m in models])
+    # one task per (dataset, model) grid, the most rows x configs first, so that no
+    # large grid starts after the small ones
+    cells = sorted(itertools.product(range(len(datasets)), range(len(models))),
+                   key=lambda c: -len(datasets[c[0]].labels) * n_configs[c[1]])
+    acc = np.empty((len(datasets), len(models)))
+    with worker_pool(min(args.jobs, len(cells))) as pool:  # no pool for one task
+        means = (pool.map if pool else map)(_best_mean, [datasets[i] for i, _ in cells],
+                                            [models[j] for _, j in cells],
+                                            [grid] * len(cells))
+        for cell, mean in zip(cells, means):
+            acc[cell] = mean
 
-    table = BenchmarkTable.from_accuracy(models, dataset_names, np.array(rows))
+    dataset_names = [ds.name for ds in datasets]
+    table = BenchmarkTable.from_accuracy(models, dataset_names, acc)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     header = ["dataset"] + list(models)
@@ -409,7 +415,9 @@ def build_parser() -> _Parser:
         p.add_argument("--data", dest="path", required=True,
                        help="dataset CSV (label in last column)")
         p.add_argument("--has-header", dest="has_header", action="store_const", const=True)
-        p.add_argument("--label-column", dest="label_column", type=_label_column)
+        p.add_argument("--label-column", dest="label_column", type=_checked(
+            lambda text: text if text == "last" else int(text), lambda _: True,
+            '"last" or an integer'))
 
     def add_hyper(p):
         p.add_argument("--variant", choices=VARIANTS)

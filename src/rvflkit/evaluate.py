@@ -15,8 +15,9 @@ seed)`` reproduces the grid cell of ``config``.
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
 each pool worker's entry point. ``grid_search(jobs=N)`` uses N cores through N
-worker processes from ``worker_pool``; a caller that runs many grids, such as
-``bench``, passes one pool to all of them, of at most ``grid_workers`` processes.
+worker processes from ``worker_pool``, one chunk of the grid each. A caller that
+runs many grids, such as ``bench``, instead maps whole serial grids over one
+``worker_pool``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class GridSpec:
     tau_grid: tuple = (0.5, 0.625, 0.75, 0.875, 1.0)
     k: int = 5
     seed: int = 0
-    delta: float | None = None
-    delta_quantile: float = 0.5
+    delta: float | None = WeightingConfig.delta
+    delta_quantile: float = WeightingConfig.delta_quantile
 
     def __post_init__(self):
         for g in (self.gamma_grid, self.hidden_grid, self.kernel_grid, self.tau_grid):
@@ -193,15 +194,6 @@ def _shared_groups(configs) -> list[list[int]]:
     return [idx for by_hidden in groups.values() for idx in by_hidden.values()]
 
 
-def grid_workers(jobs: int, variants, grid: GridSpec) -> int:
-    """The most workers ``grid_search`` can keep busy at ``jobs`` on grids of ``variants``:
-    a grid splits into at most one chunk per shared group."""
-    if jobs <= 1:
-        return jobs
-    return min(jobs, max((len(_shared_groups(enumerate_configs(v, grid))) for v in variants),
-                         default=1))
-
-
 @dataclass(frozen=True)
 class GridSearchResult:
     best_config: ModelConfig
@@ -221,12 +213,11 @@ def worker_pool(jobs: int):
 
 
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
-                jobs: int = 1, pool=None) -> GridSearchResult:
+                jobs: int = 1) -> GridSearchResult:
     """Exhaustive search; ties break to the earliest config in iteration order.
 
-    With ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on ``pool`` if
-    one is given (from ``worker_pool``), else on a pool of its own. Results are
-    independent of the worker count.
+    With ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on a pool of
+    its own. Results are independent of the worker count.
     """
     configs = enumerate_configs(variant, grid)
     groups = _shared_groups(configs)
@@ -237,7 +228,7 @@ def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
         # each worker takes a contiguous run of whole groups
         chunks = [sum(groups[j * len(groups) // n:(j + 1) * len(groups) // n], [])
                   for j in range(n)]
-        with worker_pool(n) if pool is None else contextlib.nullcontext(pool) as pool:
+        with worker_pool(n) as pool:
             futures = [pool.submit(_evaluate_chunk, dataset, variant, grid, c) for c in chunks]
             results = sorted((item for fut in futures for item in fut.result()),
                              key=lambda t: t[0])

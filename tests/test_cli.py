@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+import functools
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
@@ -12,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import rvflkit
-from rvflkit import cli
+from rvflkit import cli, evaluate
 from rvflkit.cli import SETTING_TYPES, main
+from rvflkit.data import DataError
 from rvflkit.evaluate import GridSpec
 from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
@@ -183,6 +186,17 @@ class TestGrid:
         assert t1.read_bytes() == t8.read_bytes()
 
 
+def _failing_or_slow_grid(log, dataset, variant, grid):
+    """A stand-in for ``grid_search`` in bench's workers: fails on the set named "bad",
+    else logs the set and takes a while."""
+    if dataset.name == "bad":
+        raise DataError("grid of bad failed")
+    with open(log, "a") as fh:
+        fh.write(dataset.name + "\n")
+    time.sleep(0.3)
+    return evaluate.grid_search(dataset, variant, grid)
+
+
 class TestBench:
     def test_two_datasets_two_models(self, toy_csv, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -208,8 +222,7 @@ class TestBench:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
 
     def bench_manifest(self, tmp_path, second):
-        """Two datasets, rvfl and r2vfl-m, and a grid of two groups per model, so that at
-        --jobs 2 every grid splits into two chunks."""
+        """Two datasets and two models, rvfl and r2vfl-m: four (dataset, model) grids."""
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "datasets": [{"path": str(tmp_path / "first.csv")}, {"path": str(second)}],
@@ -223,50 +236,114 @@ class TestBench:
                                      for x, y in zip(ds.features, ds.labels))
         return manifest
 
-    def test_jobs_2_tables_byte_identical_to_jobs_1(self, toy_csv, tmp_path, capsys,
-                                                    monkeypatch):
-        manifest = self.bench_manifest(tmp_path, toy_csv)
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        tables = []
-        for jobs in ("1", "2"):
-            outdir = tmp_path / f"jobs{jobs}"
-            code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(outdir),
-                          "--jobs", jobs)
-            assert code == 0
-            tables.append([(outdir / name).read_bytes() for name in ("accuracy.csv",
-                                                                      "ranks.csv")])
-        assert tables[0] == tables[1]
-        assert pools == [2]  # one pool for all four grids
-
-    def test_pool_capped_at_most_chunks_of_any_grid(self, toy_csv, tmp_path, capsys,
-                                                    monkeypatch):
-        # rvfl's grid has 2 groups and r2vfl-m's 4, so no grid splits into more than 4 chunks
-        manifest = self.bench_manifest(tmp_path, toy_csv)
-        pools = []
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The worker count asked of every process pool; each forks at most two."""
+        sizes = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                sizes.append(max_workers)
                 super().__init__(max_workers=min(max_workers, 2))
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        tables = []
-        for jobs in ("1", "64"):
-            outdir = tmp_path / f"jobs{jobs}"
-            code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(outdir),
-                          "--jobs", jobs)
-            assert code == 0
-            tables.append([(outdir / name).read_bytes() for name in ("accuracy.csv",
-                                                                      "ranks.csv")])
+        return sizes
+
+    def bench_tables(self, capsys, manifest, outdir, jobs):
+        code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(outdir),
+                      "--jobs", jobs)
+        assert code == 0
+        return [(outdir / name).read_bytes() for name in ("accuracy.csv", "ranks.csv")]
+
+    def test_jobs_2_tables_byte_identical_to_jobs_1(self, toy_csv, tmp_path, capsys,
+                                                    pool_sizes):
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
+                  for jobs in ("1", "2")]
         assert tables[0] == tables[1]
-        assert pools == [4]
+        assert pool_sizes == [2]  # one pool for all four grids
+
+    def test_pool_capped_at_most_chunks_of_any_grid(self, toy_csv, tmp_path, capsys,
+                                                    pool_sizes):
+        # two datasets x two models: four (dataset, model) grids, one task each
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
+                  for jobs in ("1", "64")]
+        assert tables[0] == tables[1]
+        assert pool_sizes == [4]
+
+    def test_pool_capped_at_task_count(self, toy_csv, tmp_path, capsys, pool_sizes):
+        # one dataset x two models is two tasks, although r2vfl-m's grid has four groups
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        settings = json.loads(manifest.read_text())
+        settings["datasets"] = settings["datasets"][:1]
+        manifest.write_text(json.dumps(settings))
+        tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
+                  for jobs in ("1", "64")]
+        assert tables[0] == tables[1]
+        assert pool_sizes == [2]
+
+    def test_grids_go_out_largest_first(self, toy_csv, tmp_path, capsys, monkeypatch):
+        # rows x configs: 30 x 16, 24 x 16, 30 x 4, 24 x 4
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        order = []
+
+        def recorded(dataset, variant, grid):
+            order.append((Path(dataset.name).stem, variant))
+            return evaluate.grid_search(dataset, variant, grid)
+
+        monkeypatch.setattr(cli, "grid_search", recorded)
+        code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+        assert code == 0
+        assert order == [("first", "r2vfl-m"), ("toy", "r2vfl-m"), ("first", "rvfl"),
+                         ("toy", "rvfl")]
+
+    def test_unknown_model_fails_before_any_dataset_or_grid(self, toy_csv, tmp_path, capsys,
+                                                            monkeypatch):
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        settings = json.loads(manifest.read_text())
+        settings["models"] = ["rvfl", "nope"]
+        manifest.write_text(json.dumps(settings))
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_csv", "grid_search"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        code = main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: unknown variant 'nope'; expected one of "
+                                           "('rvfl', 'elm', 'r2vfl-a', 'r2vfl-m')\n")
+        assert calls == []
+
+    def test_failing_grid_cancels_the_grids_no_worker_has_taken(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the largest set's grid runs first and fails; ten slow grids queue behind it
+        log = tmp_path / "ran.log"
+        monkeypatch.setattr(cli, "grid_search", functools.partial(_failing_or_slow_grid, log))
+        entries = []
+        for name, n in [("bad", 20)] + [(f"good{i}", 6) for i in range(10)]:
+            path = tmp_path / f"{name}.csv"
+            ds = gaussian_blobs(n, seed=1)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                         for x, y in zip(ds.features, ds.labels))
+            entries.append({"path": str(path), "name": name})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"datasets": entries, "models": ["rvfl"], "k": 2,
+                                        "grid": {"gamma_grid": [1.0], "hidden_grid": [3]}}))
+        code = main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
+                     "--jobs", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid of bad failed\n"
+        assert multiprocessing.active_children() == []
+        # pool.map's iterator cancels the grids no worker holds when it raises: only those
+        # in the workers or their queue (jobs + 1 deep) still run
+        assert len(log.read_text().splitlines()) <= 5
 
     def test_failing_grid_in_shared_pool_is_one_line_error(self, tmp_path, capsys):
         # two rows of two classes: at k = 2 every fold misses a class and is skipped

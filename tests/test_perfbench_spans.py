@@ -103,3 +103,19 @@ def test_traced_pool_workers_record_the_fold_code(tmp_path, rng):
     assert codes == [0]
     in_workers = {s[0] for batch in batches if not batch["root"] for s in batch["spans"]}
     assert {"evaluate.chunk", "evaluate.fold_prep", "evaluate.fit"} <= in_workers
+
+
+def test_traced_bench_workers_run_whole_grids(tmp_path, rng):
+    # bench maps whole grids over its pool: each task must pickle, although the tracer
+    # has replaced cli.grid_search, and must still call the traced grid_search
+    data, _ = _data_and_grid(tmp_path, rng, [1.0])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "datasets": [{"path": data}], "models": ["rvfl", "r2vfl-m"], "k": 3,
+        "grid": {"gamma_grid": [1.0], "hidden_grid": [3, 13], "kernel_grid": [1.0],
+                 "tau_grid": [1.0]}}))
+    codes, batches = _traced(tmp_path, [
+        ["bench", "--manifest", str(manifest), "--out", str(tmp_path / "table"), "--jobs", "2"]])
+    assert codes == [0]
+    in_workers = {s[0] for batch in batches if not batch["root"] for s in batch["spans"]}
+    assert {"evaluate.grid_search", "evaluate.chunk"} <= in_workers
