@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import sys
@@ -15,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, _csv_records, _read_text, load_csv, read_features
-from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, cross_validate, \
-    enumerate_configs, grid_search, worker_pool
+from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, check_model_names, \
+    cross_validate, enumerate_configs, grid_search, grid_searches
 from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
     save_model, train
 from .solver import SolverError
@@ -167,6 +166,7 @@ def _read_ranks(path):
     if len(rows[1]) != len(rows[0]):
         raise DataError(f"{path}: the rank row has {len(rows[1])} fields; "
                         f"the header has {len(rows[0])}")
+    check_model_names(rows[0])
     return rows[0], np.array([_finite(x, path, "rank row") for x in rows[1]])
 
 
@@ -284,13 +284,6 @@ def _write_named_rows(path, header, rows):
         writer.writerows([name] + [f"{v:.4f}" for v in values] for name, values in rows)
 
 
-def _best_mean(dataset, variant, grid):
-    """One task of ``bench``: the best mean CV accuracy of a whole serial grid. A pool
-    pickles this function by name; it calls ``grid_search`` through this module, so a
-    wrapper installed here (perfbench's tracer) runs in the workers too."""
-    return grid_search(dataset, variant, grid).best_mean
-
-
 def cmd_bench(args):
     manifest = _load_overlay(args.manifest)
     entries = manifest.get("datasets")
@@ -300,22 +293,13 @@ def cmd_bench(args):
                         "that each give a \"path\"")
     models = _resolve(args, manifest, "models", VARIANTS, args.manifest)
     grid = _grid_spec(args, manifest, manifest.get("grid", {}), args.manifest)
-    # an unknown variant fails here, before any dataset loads or grid runs
-    n_configs = [len(enumerate_configs(m, grid)) for m in models]
+    for model in models:  # an unknown or repeated model fails before any dataset loads
+        enumerate_configs(model, grid)
+    check_model_names(models)
     datasets = [_load_dataset(None, entry, f"{args.manifest}: dataset {i}")
                 for i, entry in enumerate(entries)]
-
-    # one task per (dataset, model) grid, the most rows x configs first, so that no
-    # large grid starts after the small ones
-    cells = sorted(itertools.product(range(len(datasets)), range(len(models))),
-                   key=lambda c: -len(datasets[c[0]].labels) * n_configs[c[1]])
-    acc = np.empty((len(datasets), len(models)))
-    with worker_pool(min(args.jobs, len(cells))) as pool:  # no pool for one task
-        means = (pool.map if pool else map)(_best_mean, [datasets[i] for i, _ in cells],
-                                            [models[j] for _, j in cells],
-                                            [grid] * len(cells))
-        for cell, mean in zip(cells, means):
-            acc[cell] = mean
+    results = grid_searches([(ds, m) for ds in datasets for m in models], grid, args.jobs)
+    acc = np.reshape([r.best_mean for r in results], (len(datasets), len(models)))
 
     dataset_names = [ds.name for ds in datasets]
     table = BenchmarkTable.from_accuracy(models, dataset_names, acc)

@@ -13,11 +13,11 @@ fit of its config alone, bit for bit, so ``cross_validate(dataset, config, k,
 seed)`` reproduces the grid cell of ``config``.
 
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
-``cross_validate`` and ``_evaluate_chunk``, which runs the serial grid and is
-each pool worker's entry point. ``grid_search(jobs=N)`` uses N cores through N
-worker processes from ``worker_pool``, one chunk of the grid each. A caller that
-runs many grids, such as ``bench``, instead maps whole serial grids over one
-``worker_pool``.
+``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a grid and is
+each pool worker's entry point. ``grid_searches`` schedules the grids of ``grid``
+and ``bench`` by one rule: at ``jobs=N`` it cuts each of P grids into
+min(ceil(N / P), groups) chunks, so P >= N gives whole grids, and maps them, largest
+first, over one ``worker_pool``; any N > 1 forks the pool, however small the grids.
 """
 
 from __future__ import annotations
@@ -184,14 +184,16 @@ def _evaluate_chunk(dataset, variant, grid, indices):
     return list(zip(indices, means, accs))
 
 
-def _shared_groups(configs) -> list[list[int]]:
-    """Config indices grouped by (weighting, hidden nodes), weighting-major. A group
-    shares a random layer and a Gram matrix per fold; neighbouring groups share the
-    fold's kernel cache."""
-    groups: dict = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(config.weighting, {}).setdefault(config.hidden_nodes, []).append(i)
-    return [idx for by_hidden in groups.values() for idx in by_hidden.values()]
+def _chunks(configs, n: int) -> list[list[int]]:
+    """Config indices in up to ``n`` contiguous runs of whole groups. A group holds the
+    configs of one (weighting, hidden nodes), weighting-major, and shares a random layer
+    and a Gram matrix per fold; neighbouring groups share the fold's kernel cache."""
+    by_weighting: dict = {}
+    for i, c in enumerate(configs):
+        by_weighting.setdefault(c.weighting, {}).setdefault(c.hidden_nodes, []).append(i)
+    groups = [idx for by_hidden in by_weighting.values() for idx in by_hidden.values()]
+    n = min(n, len(groups))
+    return [sum(groups[j * len(groups) // n:(j + 1) * len(groups) // n], []) for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -203,38 +205,50 @@ class GridSearchResult:
 
 @contextlib.contextmanager
 def worker_pool(jobs: int):
-    """None for ``jobs`` <= 1; else a pool of ``jobs`` worker processes, forked under one
-    BLAS thread so that each worker starts with the count its fold code runs with."""
+    """The builtin ``map`` for ``jobs`` <= 1; else the ``map`` of a pool of ``jobs`` worker
+    processes, forked under one BLAS thread so that each worker starts with the count its
+    fold code runs with."""
     if jobs <= 1:
-        yield None
+        yield map
         return
     with single_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool
+        yield pool.map
+
+
+def grid_searches(problems, grid: GridSpec, jobs: int = 1) -> list[GridSearchResult]:
+    """``grid_search`` of each (dataset, variant) pair in ``problems`` on one pool: each
+    grid in min(ceil(jobs / len(problems)), groups) runs of whole groups, and the runs of
+    all grids largest first by rows x configs, ties in problem order."""
+    configs = [enumerate_configs(variant, grid) for _, variant in problems]
+    tasks = [(p, indices) for p, problem_configs in enumerate(configs)
+             for indices in _chunks(problem_configs, -(-jobs // len(problems)))]
+    tasks.sort(key=lambda t: -len(problems[t[0]][0].labels) * len(t[1]))
+    traces = [[None] * len(c) for c in configs]
+    with worker_pool(min(jobs, len(tasks))) as pool_map:
+        chunks = pool_map(_evaluate_chunk, [problems[p][0] for p, _ in tasks],
+                          [problems[p][1] for p, _ in tasks], [grid] * len(tasks),
+                          [indices for _, indices in tasks])
+        for (p, _), chunk in zip(tasks, chunks):
+            for ci, mean, accs in chunk:
+                traces[p][ci] = (configs[p][ci], mean, accs)
+    # max keeps the first of equal means: ties break to the earliest config
+    return [GridSearchResult(*max(trace, key=lambda row: row[1])[:2], tuple(trace))
+            for trace in traces]
 
 
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
                 jobs: int = 1) -> GridSearchResult:
-    """Exhaustive search; ties break to the earliest config in iteration order.
+    """Exhaustive search; ties break to the earliest config in iteration order. With
+    ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on a pool of its own;
+    results are independent of the worker count."""
+    return grid_searches([(dataset, variant)], grid, jobs)[0]
 
-    With ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on a pool of
-    its own. Results are independent of the worker count.
-    """
-    configs = enumerate_configs(variant, grid)
-    groups = _shared_groups(configs)
-    n = min(jobs, len(groups))
-    if n <= 1:
-        results = _evaluate_chunk(dataset, variant, grid, range(len(configs)))
-    else:
-        # each worker takes a contiguous run of whole groups
-        chunks = [sum(groups[j * len(groups) // n:(j + 1) * len(groups) // n], [])
-                  for j in range(n)]
-        with worker_pool(n) as pool:
-            futures = [pool.submit(_evaluate_chunk, dataset, variant, grid, c) for c in chunks]
-            results = sorted((item for fut in futures for item in fut.result()),
-                             key=lambda t: t[0])
-    trace = tuple((configs[ci], mean, accs) for ci, mean, accs in results)
-    best_i = max(range(len(trace)), key=lambda i: (trace[i][1], -i))
-    return GridSearchResult(trace[best_i][0], trace[best_i][1], trace)
+
+def check_model_names(model_names):
+    """Raises ValueError if a model is listed twice: its columns could not be told apart."""
+    repeated = [name for i, name in enumerate(model_names) if name in model_names[:i]]
+    if repeated:
+        raise ValueError(f"model {repeated[0]!r} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,7 @@ class BenchmarkTable:
 
     @classmethod
     def from_accuracy(cls, model_names, dataset_names, accuracy) -> "BenchmarkTable":
+        check_model_names(model_names)
         acc = np.asarray(accuracy, dtype=np.float64)
         if acc.size == 0:
             raise ValueError("empty benchmark table")

@@ -4,6 +4,7 @@ import functools
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -186,15 +187,18 @@ class TestGrid:
         assert t1.read_bytes() == t8.read_bytes()
 
 
-def _failing_or_slow_grid(log, dataset, variant, grid):
-    """A stand-in for ``grid_search`` in bench's workers: fails on the set named "bad",
+_evaluate_chunk = evaluate._evaluate_chunk
+
+
+def _failing_or_slow_chunk(log, dataset, variant, grid, indices):
+    """A stand-in for ``_evaluate_chunk`` in bench's workers: fails on the set named "bad",
     else logs the set and takes a while."""
     if dataset.name == "bad":
         raise DataError("grid of bad failed")
     with open(log, "a") as fh:
         fh.write(dataset.name + "\n")
     time.sleep(0.3)
-    return evaluate.grid_search(dataset, variant, grid)
+    return _evaluate_chunk(dataset, variant, grid, indices)
 
 
 class TestBench:
@@ -265,21 +269,33 @@ class TestBench:
 
     def test_pool_capped_at_most_chunks_of_any_grid(self, toy_csv, tmp_path, capsys,
                                                     pool_sizes):
-        # two datasets x two models: four (dataset, model) grids, one task each
+        # two datasets x two models at --jobs 64: each grid is cut into all its groups,
+        # two for rvfl and four for r2vfl-m, so the pool has 2 x (2 + 4) = 12 chunks
         manifest = self.bench_manifest(tmp_path, toy_csv)
         tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
                   for jobs in ("1", "64")]
         assert tables[0] == tables[1]
-        assert pool_sizes == [4]
+        assert pool_sizes == [12]
 
     def test_pool_capped_at_task_count(self, toy_csv, tmp_path, capsys, pool_sizes):
-        # one dataset x two models is two tasks, although r2vfl-m's grid has four groups
+        # one dataset x two models at --jobs 64: 2 + 4 groups make six tasks
         manifest = self.bench_manifest(tmp_path, toy_csv)
         settings = json.loads(manifest.read_text())
         settings["datasets"] = settings["datasets"][:1]
         manifest.write_text(json.dumps(settings))
         tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
                   for jobs in ("1", "64")]
+        assert tables[0] == tables[1]
+        assert pool_sizes == [6]
+
+    def test_one_grid_is_split_over_the_jobs(self, toy_csv, tmp_path, capsys, pool_sizes):
+        # one (dataset, model) grid of four groups at --jobs 2: two chunks on two workers
+        manifest = self.bench_manifest(tmp_path, toy_csv)
+        settings = json.loads(manifest.read_text())
+        settings["datasets"], settings["models"] = settings["datasets"][:1], ["r2vfl-m"]
+        manifest.write_text(json.dumps(settings))
+        tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
+                  for jobs in ("1", "2")]
         assert tables[0] == tables[1]
         assert pool_sizes == [2]
 
@@ -288,11 +304,11 @@ class TestBench:
         manifest = self.bench_manifest(tmp_path, toy_csv)
         order = []
 
-        def recorded(dataset, variant, grid):
+        def recorded(dataset, variant, grid, indices):
             order.append((Path(dataset.name).stem, variant))
-            return evaluate.grid_search(dataset, variant, grid)
+            return _evaluate_chunk(dataset, variant, grid, indices)
 
-        monkeypatch.setattr(cli, "grid_search", recorded)
+        monkeypatch.setattr(evaluate, "_evaluate_chunk", recorded)
         code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
         assert code == 0
         assert order == [("first", "r2vfl-m"), ("toy", "r2vfl-m"), ("first", "rvfl"),
@@ -312,7 +328,7 @@ class TestBench:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("load_csv", "grid_search"):
+        for name in ("load_csv", "grid_searches"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
         code = main(["bench", "--manifest", str(manifest), "--out", str(tmp_path / "b")])
         assert code == 2
@@ -324,7 +340,8 @@ class TestBench:
                                                                 monkeypatch):
         # the largest set's grid runs first and fails; ten slow grids queue behind it
         log = tmp_path / "ran.log"
-        monkeypatch.setattr(cli, "grid_search", functools.partial(_failing_or_slow_grid, log))
+        monkeypatch.setattr(evaluate, "_evaluate_chunk",
+                            functools.partial(_failing_or_slow_chunk, log))
         entries = []
         for name, n in [("bad", 20)] + [(f"good{i}", 6) for i in range(10)]:
             path = tmp_path / f"{name}.csv"
@@ -457,6 +474,11 @@ BAD_ALPHAS = ("0", "1", "-0.1", "7", "nan")
     ("grid_jobs_0", 1),
     ("grid_jobs_negative", 1),
     ("bench_jobs_0", 1),
+    ("bench_models_repeated", 2),
+    ("table_model_repeated", 2),
+    ("ranks_model_repeated", 2),
+    ("manifest_datasets_empty", 2),
+    ("manifest_models_empty", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -551,6 +573,18 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
         "grid_jobs_negative": ["grid", "--data", data, "--variant", "rvfl", "--jobs", "-3"],
         "bench_jobs_0": ["bench", "--out", out, "--jobs", "0", "--manifest", _write(
             tmp_path / "bench_jobs.json", bench % (data, "{}"))],
+        "bench_models_repeated": ["bench", "--out", out, "--models", "rvfl,elm,rvfl",
+                                  "--manifest", _write(tmp_path / "bench_models.json",
+                                                       bench % (data, "{}"))],
+        "table_model_repeated": ["stats", "wilcoxon", "--a", "rvfl", "--b", "rvfl", "--table",
+                                 _write(tmp_path / "repeated.csv", "dataset,rvfl,rvfl\n" + "".join(
+                                     f"d{i},{80 + i},{70 + i}\n" for i in range(6)))],
+        "ranks_model_repeated": ["stats", "nemenyi", "--datasets", "10", "--ranks", _write(
+            tmp_path / "repeated_ranks.csv", "a,a,b\n1.5,2.0,2.5\n")],
+        "manifest_datasets_empty": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "no_sets.json", '{"datasets": [], "models": ["rvfl"]}')],
+        "manifest_models_empty": ["bench", "--out", out, "--manifest", _write(
+            tmp_path / "no_models.json", '{"datasets": [{"path": "%s"}], "models": []}' % data)],
     }.get(case)
     if case.startswith("wilcoxon_alpha_"):
         argv = ["stats", "wilcoxon", "--table", str(FIXTURES / "eeg_accuracy.csv"),
@@ -603,6 +637,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "grid_delta_infinity": "delta must be positive and finite",
             "grid_jobs_0": "argument --jobs", "grid_jobs_negative": "argument --jobs",
             "bench_jobs_0": "argument --jobs",
+            "bench_models_repeated": "model 'rvfl' is listed twice",
+            "table_model_repeated": "model 'rvfl' is listed twice",
+            "ranks_model_repeated": "model 'a' is listed twice",
+            "manifest_datasets_empty": "empty benchmark table",
+            "manifest_models_empty": "empty benchmark table",
             **dict.fromkeys((f"wilcoxon_alpha_{alpha}" for alpha in BAD_ALPHAS),
                             "argument --alpha")}.get(case, "") in err
 
@@ -692,6 +731,17 @@ def test_help_available(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_readme_cli_examples_parse():
+    # every command of README's CLI block takes the flags it shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("rvflkit ")]
+    assert len(commands) == 8
+    for argv in commands:
+        assert callable(cli.build_parser().parse_args(argv).func)
 
 
 def test_train_and_predict_do_not_depend_on_blas_threads(tmp_path):

@@ -259,7 +259,7 @@ class TestSharedRidgePath:
         assert len(lu_calls) == 2 * len(enumerate_configs("r2vfl-m", self.GRID)) * self.GRID.k
 
 
-def _blas_thread_counts():
+def _blas_thread_counts(_task):
     return tuple(get() for get, _ in _openblas_thread_functions())
 
 
@@ -356,12 +356,11 @@ class TestSingleBlasThread:
         assert blas_threads() == before
 
     def test_pool_workers_start_with_one_thread_then_restored(self, blas_threads):
-        with worker_pool(1) as pool:
-            assert pool is None
+        with worker_pool(1) as pool_map:
+            assert pool_map is map
         before = blas_threads()
-        with worker_pool(2) as pool:
-            seen = [f.result(timeout=60) for f in [pool.submit(_blas_thread_counts)
-                                                   for _ in range(4)]]
+        with worker_pool(2) as pool_map:
+            seen = list(pool_map(_blas_thread_counts, range(4), timeout=60))
         assert seen == [(1,) * len(before)] * 4
         assert blas_threads() == before
 

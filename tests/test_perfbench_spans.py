@@ -106,8 +106,9 @@ def test_traced_pool_workers_record_the_fold_code(tmp_path, rng):
 
 
 def test_traced_bench_workers_run_whole_grids(tmp_path, rng):
-    # bench maps whole grids over its pool: each task must pickle, although the tracer
-    # has replaced cli.grid_search, and must still call the traced grid_search
+    # bench maps the chunks of its grids over its pool: each task must pickle, although
+    # the tracer has replaced evaluate._evaluate_chunk, and must still run the traced
+    # fold code
     data, _ = _data_and_grid(tmp_path, rng, [1.0])
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
@@ -118,4 +119,4 @@ def test_traced_bench_workers_run_whole_grids(tmp_path, rng):
         ["bench", "--manifest", str(manifest), "--out", str(tmp_path / "table"), "--jobs", "2"]])
     assert codes == [0]
     in_workers = {s[0] for batch in batches if not batch["root"] for s in batch["spans"]}
-    assert {"evaluate.grid_search", "evaluate.chunk"} <= in_workers
+    assert {"evaluate.chunk", "evaluate.fold_prep", "evaluate.fit"} <= in_workers
