@@ -1,4 +1,7 @@
-"""Command-line front end: train, predict, cross-validate, grid-search, bench, stats."""
+"""Command-line front end: train, predict, cross-validate, grid-search, bench, stats.
+
+``_config`` builds each config from its dataclass's fields: a field's flag, else its JSON
+setting, else the field's default, so the dataclasses hold every default."""
 
 from __future__ import annotations
 
@@ -83,27 +86,23 @@ def _resolve(args, overlay, key, default, source):
     return tuple(value) if type(value) is list else value
 
 
+# A config field's setting name, where it is not the field's own.
+_CLI_NAMES = {"hidden_nodes": "hidden", "tau_multiplier": "tau"}
+
+
+def _config(cls, setting, **given):
+    """``cls`` from ``given``, and every other field from ``setting(cli name, default)``."""
+    return cls(**given, **{f.name: setting(_CLI_NAMES.get(f.name, f.name), f.default)
+                           for f in fields(cls) if f.name not in given})
+
+
 def _model_config(args, overlay, source) -> ModelConfig:
     setting = functools.partial(_resolve, args, overlay, source=source)
     variant = setting("variant", None)
     if variant is None:
         raise UsageError("a model variant is required")
-    weighting = None
-    if variant in CENTER_SCHEMES:
-        weighting = WeightingConfig(
-            kernel_gamma=setting("kernel_gamma", 1.0),
-            tau_multiplier=setting("tau", WeightingConfig.tau_multiplier),
-            delta=setting("delta", WeightingConfig.delta),
-            delta_quantile=setting("delta_quantile", WeightingConfig.delta_quantile),
-        )
-    return ModelConfig(
-        variant=variant,
-        hidden_nodes=setting("hidden", 103),
-        gamma=setting("gamma", 1.0),
-        activation=setting("activation", ModelConfig.activation),
-        seed=setting("seed", ModelConfig.seed),
-        weighting=weighting,
-    )
+    weighting = _config(WeightingConfig, setting) if variant in CENTER_SCHEMES else None
+    return _config(ModelConfig, setting, variant=variant, weighting=weighting)
 
 
 def _data_settings(args, overlay, source):
@@ -235,9 +234,8 @@ def _grid_spec(args, overlay, axes, source) -> GridSpec:
     for the rest."""
     if not isinstance(axes, dict):
         raise DataError(f"{source}: the grid must be a JSON object")
-    return GridSpec(**{f.name: _resolve(args, axes if f.name.endswith("_grid") else overlay,
-                                        f.name, f.default, source)
-                       for f in fields(GridSpec)})
+    return _config(GridSpec, lambda key, default: _resolve(
+        args, axes if key.endswith("_grid") else overlay, key, default, source))
 
 
 def _write_trace(path, result):

@@ -15,15 +15,16 @@ seed)`` reproduces the grid cell of ``config``.
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a grid and is
 each pool worker's entry point. ``grid_searches`` schedules the grids of ``grid``
-and ``bench`` by one rule: at ``jobs=N`` it cuts each of P grids into
-min(ceil(N / P), groups) chunks, so P >= N gives whole grids, and maps them, largest
-first, over one ``worker_pool``; any N > 1 forks the pool, however small the grids.
+and ``bench`` by one rule: at ``jobs=N`` a grid of w = rows x configs goes out in
+min(ceil(N * w / total w), groups) chunks, its share of the work, mapped largest first
+over one ``worker_pool``; any N > 1 forks the pool, however small the grids.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,18 +91,13 @@ class GridSpec:
 
 def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
     """Deterministic iteration order: gamma, then hidden nodes, then kernel, then tau."""
-    configs = []
-    for gamma in grid.gamma_grid:
-        for hidden in grid.hidden_grid:
-            if variant not in CENTER_SCHEMES:
-                configs.append(ModelConfig(variant, hidden, gamma))
-                continue
-            for kg in grid.kernel_grid:
-                for tau in grid.tau_grid:
-                    w = WeightingConfig(kernel_gamma=kg, tau_multiplier=tau,
-                                        delta=grid.delta, delta_quantile=grid.delta_quantile)
-                    configs.append(ModelConfig(variant, hidden, gamma, weighting=w))
-    return configs
+    weightings = [None]
+    if variant in CENTER_SCHEMES:
+        weightings = [WeightingConfig(kernel_gamma=kg, tau_multiplier=tau, delta=grid.delta,
+                                      delta_quantile=grid.delta_quantile)
+                      for kg, tau in itertools.product(grid.kernel_grid, grid.tau_grid)]
+    return [ModelConfig(variant, hidden, gamma, weighting=w) for gamma, hidden, w
+            in itertools.product(grid.gamma_grid, grid.hidden_grid, weightings)]
 
 
 class _FoldContext:
@@ -216,12 +212,13 @@ def worker_pool(jobs: int):
 
 
 def grid_searches(problems, grid: GridSpec, jobs: int = 1) -> list[GridSearchResult]:
-    """``grid_search`` of each (dataset, variant) pair in ``problems`` on one pool: each
-    grid in min(ceil(jobs / len(problems)), groups) runs of whole groups, and the runs of
-    all grids largest first by rows x configs, ties in problem order."""
+    """``grid_search`` of each (dataset, variant) pair in ``problems`` on one pool: a grid
+    of w = rows x configs in min(ceil(jobs * w / total w), groups) runs of whole groups,
+    and the runs of all grids largest first by rows x configs, ties in problem order."""
     configs = [enumerate_configs(variant, grid) for _, variant in problems]
+    work = [len(dataset.labels) * len(c) for (dataset, _), c in zip(problems, configs)]
     tasks = [(p, indices) for p, problem_configs in enumerate(configs)
-             for indices in _chunks(problem_configs, -(-jobs // len(problems)))]
+             for indices in _chunks(problem_configs, -(-jobs * work[p] // sum(work)))]
     tasks.sort(key=lambda t: -len(problems[t[0]][0].labels) * len(t[1]))
     traces = [[None] * len(c) for c in configs]
     with worker_pool(min(jobs, len(tasks))) as pool_map:

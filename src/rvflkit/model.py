@@ -51,8 +51,8 @@ class ModelFormatError(ModelError):
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str
-    hidden_nodes: int
-    gamma: float
+    hidden_nodes: int = 103
+    gamma: float = 1.0
     activation: str = "sigmoid"
     seed: int = 0
     weighting: WeightingConfig | None = None

@@ -128,7 +128,7 @@ class WeightingConfig:
     (default: the median).
     """
 
-    kernel_gamma: float
+    kernel_gamma: float = 1.0
     tau_multiplier: float = 1.0
     delta: float | None = None
     delta_quantile: float = 0.5

@@ -4,11 +4,14 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import shlex
+import struct
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from collections import Counter
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from rvflkit import cli, evaluate
 from rvflkit.cli import SETTING_TYPES, main
 from rvflkit.data import DataError
 from rvflkit.evaluate import GridSpec
+from rvflkit.model import MODEL_MAGIC, ModelConfig
+from rvflkit.weighting import WeightingConfig
 from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
@@ -201,6 +206,13 @@ def _failing_or_slow_chunk(log, dataset, variant, grid, indices):
     return _evaluate_chunk(dataset, variant, grid, indices)
 
 
+def _logged_chunk(log, dataset, variant, grid, indices):
+    """A stand-in for ``_evaluate_chunk`` in bench's workers: logs the set of each chunk."""
+    with open(log, "a") as fh:
+        fh.write(dataset.name + "\n")
+    return _evaluate_chunk(dataset, variant, grid, indices)
+
+
 class TestBench:
     def test_two_datasets_two_models(self, toy_csv, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -313,6 +325,29 @@ class TestBench:
         assert code == 0
         assert order == [("first", "r2vfl-m"), ("toy", "r2vfl-m"), ("first", "rvfl"),
                          ("toy", "rvfl")]
+
+    def test_grid_holding_most_of_the_work_is_split(self, tmp_path, capsys, monkeypatch,
+                                                    pool_sizes):
+        # two r2vfl-m grids of four groups at --jobs 2, rows x configs 80 x 8 and 16 x 8:
+        # the large grid is 5/6 of the work and gets two chunks, the small one one
+        entries = []
+        for name, n in (("large", 40), ("small", 8)):
+            ds = gaussian_blobs(n, seed=4, flip_fraction=0.1)
+            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                         for x, y in zip(ds.features, ds.labels))
+            entries.append({"path": str(tmp_path / f"{name}.csv"), "name": name})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "datasets": entries, "models": ["r2vfl-m"], "k": 2, "seed": 0,
+            "grid": {"gamma_grid": [0.1, 10.0], "hidden_grid": [3, 9],
+                     "kernel_grid": [1.0], "tau_grid": [0.75, 1.0]}}))
+        serial = self.bench_tables(capsys, manifest, tmp_path / "jobs1", "1")
+        log = tmp_path / "chunks.log"
+        monkeypatch.setattr(evaluate, "_evaluate_chunk", functools.partial(_logged_chunk, log))
+        assert self.bench_tables(capsys, manifest, tmp_path / "jobs2", "2") == serial
+        assert Counter(log.read_text().splitlines()) == {"large": 2, "small": 1}
+        assert pool_sizes == [2]
 
     def test_unknown_model_fails_before_any_dataset_or_grid(self, toy_csv, tmp_path, capsys,
                                                             monkeypatch):
@@ -646,6 +681,54 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
                             "argument --alpha")}.get(case, "") in err
 
 
+# One JSON value of each kind, and the kinds of setting that each one satisfies.
+JSON_VALUES = {"null": None, "boolean": True, "integer": 2, "fraction": 0.5, "string": "x",
+               "list_of_numbers": [2], "list_of_strings": ["x"], "object": {}}
+VALID_VALUES = {"an integer": {"integer"}, "a number": {"integer", "fraction"},
+                "a string": {"string"}, "true or false": {"boolean"},
+                '"last" or an integer': {"integer"}, "a list of numbers": {"list_of_numbers"},
+                "a list of strings": {"list_of_strings"}}
+# The JSON keys that each command reads where no flag of the command line below gives them.
+JSON_KEYS = {
+    "cv": ("variant", "hidden", "gamma", "activation", "seed", "kernel_gamma", "tau",
+           "delta", "delta_quantile", "has_header", "label_column", "name", "k"),
+    "grid": ("has_header", "label_column", "name", "gamma_grid", "hidden_grid",
+             "kernel_grid", "tau_grid", "k", "seed", "delta", "delta_quantile"),
+    "bench": ("models", "path", "has_header", "label_column", "name", "gamma_grid",
+              "hidden_grid", "kernel_grid", "tau_grid", "k", "seed", "delta", "delta_quantile"),
+}
+
+
+@pytest.mark.parametrize("command, key, kind", [
+    (command, key, kind) for command, keys in JSON_KEYS.items() for key in keys
+    for kind in JSON_VALUES
+    if kind not in VALID_VALUES[SETTING_TYPES[key]] and (key, kind) != ("delta", "null")])
+def test_json_setting_of_a_wrong_kind_is_one_line_error(tmp_path, capsys, toy_csv, command,
+                                                        key, kind):
+    settings = tmp_path / "settings.json"
+    value = JSON_VALUES[kind]
+    if command == "cv":
+        settings.write_text(json.dumps({"variant": "r2vfl-m", key: value}))
+        argv = ["cv", "--data", str(toy_csv), "--config", str(settings)]
+    elif command == "grid":
+        settings.write_text(json.dumps({key: value}))
+        argv = ["grid", "--data", str(toy_csv), "--variant", "rvfl", "--grid-file", str(settings)]
+    else:
+        manifest = {"datasets": [{"path": str(toy_csv)}], "models": ["rvfl"], "grid": {}}
+        if key.endswith("_grid"):
+            manifest["grid"][key] = value
+        elif key in ("path", "has_header", "label_column", "name"):
+            manifest["datasets"][0][key] = value
+        else:
+            manifest[key] = value
+        settings.write_text(json.dumps(manifest))
+        argv = ["bench", "--manifest", str(settings), "--out", str(tmp_path / "b")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f'"{key}" must be {SETTING_TYPES[key]}' in err
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array with shape "
                                      "(2000000000, 1) and data type float64", ""])
 def test_memory_error_is_one_line_error(monkeypatch, capsys, toy_csv, tmp_path, message):
@@ -725,6 +808,60 @@ def test_every_grid_spec_field_has_a_setting_kind():
     # _grid_spec reads every GridSpec field from JSON; one without a kind would raise
     # a bare KeyError there
     assert {f.name for f in fields(GridSpec)} <= set(SETTING_TYPES)
+
+
+def _setting_reads(cls, **given):
+    """The (CLI name, default) of each setting ``cli._config`` reads to build ``cls``."""
+    reads = []
+
+    def setting(name, default):
+        reads.append((name, default))
+        return default
+
+    cli._config(cls, setting, **given)
+    return reads
+
+
+def test_config_builder_reads_settings_with_a_default_a_kind_and_a_flag():
+    # a setting without a kind would fail with a bare KeyError, and a flag of another dest
+    # would never be read
+    model = (_setting_reads(ModelConfig, variant="r2vfl-m", weighting=WeightingConfig())
+             + _setting_reads(WeightingConfig))
+    grid = _setting_reads(GridSpec)
+    for name, default in model + grid:
+        assert default is not MISSING, name
+        assert name in SETTING_TYPES, name
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for command, reads in (("train", model), ("cv", model), ("grid", grid), ("bench", grid)):
+        names = {name for name, _ in reads}
+        flags = {action.option_strings[-1][2:].replace("-", "_"): action.dest
+                 for action in commands[command]._actions if action.option_strings}
+        assert all(flags[name] == name for name in names & flags.keys())
+        if command in ("train", "cv"):
+            assert names <= flags.keys()
+    # the wrong-kind test covers every setting
+    assert set().union(*JSON_KEYS.values()) == set(SETTING_TYPES)
+
+
+def test_train_with_only_a_variant_writes_the_dataclass_defaults(toy_csv, tmp_path, capsys):
+    model = tmp_path / "m.bin"
+    code, _ = run(capsys, "train", "--data", str(toy_csv), "--variant", "r2vfl-m",
+                  "--out", str(model))
+    assert code == 0
+    payload = model.read_bytes()[len(MODEL_MAGIC) + 4:-32]
+    (hlen,) = struct.unpack_from("<I", payload)
+    header = json.loads(payload[4:4 + hlen])
+    assert header["weighting"].pop("center_scheme") == "median"
+    expected = asdict(ModelConfig("r2vfl-m", weighting=WeightingConfig()))
+    assert {key: header.pop(key) for key in expected} == expected
+    assert set(header) == {"class_names", "n_features", "has_scores"}
+
+
+def test_readme_json_settings_name_every_setting():
+    # README's "JSON settings" list names every key that SETTING_TYPES gives a kind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nJSON settings ", 1)[1].split("Unknown keys are ignored", 1)[0]
+    assert set(SETTING_TYPES) <= set(re.findall(r"`(\w+)`", block))
 
 
 def test_help_available(capsys):
