@@ -7,10 +7,12 @@ center scheme, and keeps no l x l matrix between configs. Its ``evaluate`` fits
 a group of configs with ``model.forward``/``model.fit_output_weights``.
 The grid is a shared ridge path: per fold, configs with the same hidden-node
 count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
-and its activations, those that also share a weighting share one Gram matrix,
-and each ridge gamma costs one factorization. Every cell still equals the
-fit of its config alone, bit for bit, so ``cross_validate(dataset, config, k,
-seed)`` reproduces the grid cell of ``config``.
+and its activations, and each distinct weight vector r costs one Gram matrix and
+one factorization per ridge gamma. A weighting whose r repeats an earlier one's
+bytes (with delta at a quantile, cp ignores kernel gamma, and at tau = 1, r = cp)
+reuses its accuracies. Every cell still equals the fit of its config alone, bit
+for bit, so ``cross_validate(dataset, config, k, seed)`` reproduces the grid cell
+of ``config``.
 
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a grid and is
@@ -43,7 +45,7 @@ def accuracy(pred, truth) -> float:
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.size == 0:
         raise ValueError("prediction and truth must be nonempty vectors of equal length")
-    return 100.0 * float(np.mean(pred == truth))
+    return 100.0 * (np.count_nonzero(pred == truth) / pred.size)
 
 
 def fold_seed(master_seed: int, hidden_nodes: int, fold: int) -> int:
@@ -132,7 +134,8 @@ class _FoldContext:
     def evaluate(self, configs, seed: int) -> list[float]:
         """Test accuracy of each config. The configs differ only in ridge gamma and
         weighting, so they share the random layer drawn from ``seed`` and its
-        activations; configs with the same weighting share one Gram matrix."""
+        activations; configs with the same weighting share one Gram matrix, and a
+        weighting whose r and ridge gammas repeat an earlier one's bytes reuses its fit."""
         first = configs[0]
         layer = init_random_layer(self.X_tr.shape[1], first.hidden_nodes, seed)
         design_tr = forward(self.X_tr, layer, first)
@@ -141,11 +144,17 @@ class _FoldContext:
         for i, config in enumerate(configs):
             by_weighting.setdefault(config.weighting, []).append(i)
         accs = [0.0] * len(configs)
+        fitted: dict = {}  # (r bytes, ridge gammas) -> accuracies of the first such group
         for idx in by_weighting.values():
             r = self.scores(configs[idx[0]]) if first.robust else None
-            W2s = fit_output_weights(design_tr, self.Y_tr, r, [configs[i].gamma for i in idx])
-            for i, W2 in zip(idx, W2s):
-                accs[i] = accuracy(np.argmax(design_te @ W2, axis=1), self.y_te)
+            gammas = tuple(configs[i].gamma for i in idx)
+            key = (None if r is None else r.tobytes(), gammas)
+            if key not in fitted:
+                W2s = fit_output_weights(design_tr, self.Y_tr, r, gammas)
+                fitted[key] = [accuracy(np.argmax(design_te @ W2, axis=1), self.y_te)
+                               for W2 in W2s]
+            for i, acc in zip(idx, fitted[key]):
+                accs[i] = acc
         return accs
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import rvflkit.evaluate
 import rvflkit.model
@@ -32,6 +33,25 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy([], [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 25_000), share=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    def test_equals_the_mean_of_matches_bit_for_bit(self, n, share, seed):
+        rng = np.random.default_rng(seed)
+        truth = rng.integers(0, 3, size=n)
+        pred = truth.copy()
+        missed = rng.choice(n, size=int(round((1.0 - share) * n)), replace=False)
+        pred[missed] = (pred[missed] + rng.integers(1, 3, size=missed.size)) % 3
+        expected = 100.0 * float(np.mean(pred == truth))
+        assert np.float64(accuracy(pred, truth)).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 50), m=st.integers(0, 50))
+    def test_empty_or_mismatched_rejected(self, n, m):
+        if n == m and n > 0:
+            m += 1
+        with pytest.raises(ValueError):
+            accuracy(np.zeros(n, dtype=int), np.zeros(m, dtype=int))
 
 
 def identical_fold_dataset():
@@ -158,6 +178,16 @@ def per_config_fold_accuracies(ds, config, k, seed):
     return np.array(accs)
 
 
+def distinct_fits(ds, variant, grid):
+    """Ridge fits the grid makes: per (hidden count, fold), one per distinct scores r,
+    read byte for byte from ``_FoldContext.scores``."""
+    folds = stratified_k_fold(ds, grid.k, grid.seed)
+    configs = enumerate_configs(variant, grid)
+    per_fold = [len({rvflkit.evaluate._FoldContext(ds, folds == f).scores(c).tobytes()
+                     for c in configs}) for f in range(grid.k)]
+    return len(grid.hidden_grid) * sum(per_fold)
+
+
 class TestSharedRidgePath:
     """The grid shares layers, Gram matrices and fold caches; every cell still equals
     the fit of its config alone."""
@@ -186,6 +216,9 @@ class TestSharedRidgePath:
         self.assert_cells_match_oracle(ds, variant, grid, jobs=2)
 
     def test_one_layer_per_hidden_count_one_gram_per_weighting(self, rng, monkeypatch):
+        ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
+        grid = self.GRID
+        fits = distinct_fits(ds, "r2vfl-m", grid)  # before any counter is installed
         calls = {"layer": 0, "gram": 0, "factorization": 0, "geometry": 0, "kernel": 0,
                  "huber": 0}
 
@@ -206,14 +239,14 @@ class TestSharedRidgePath:
                                   (rvflkit.weighting, "kernel_matrix", "kernel"),
                                   (rvflkit.evaluate, "huber_weights", "huber")):
             monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
-        ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
-        grid = self.GRID
         res = grid_search(ds, "r2vfl-m", grid, jobs=1)
         assert not any(np.isnan(accs).any() for _, _, accs in res.trace)
         weightings = len(grid.kernel_grid) * len(grid.tau_grid)
         assert calls["layer"] == len(grid.hidden_grid) * grid.k
-        assert calls["gram"] == len(grid.hidden_grid) * weightings * grid.k
-        assert calls["factorization"] == len(res.trace) * grid.k
+        # one Gram matrix per distinct r: at tau = 1, r = cp, which both kernel gammas share
+        assert fits < len(grid.hidden_grid) * weightings * grid.k
+        assert calls["gram"] == fits
+        assert calls["factorization"] == fits * len(grid.gamma_grid)
         # K and the class geometry do not depend on tau: one per (kernel gamma, fold);
         # the Huber weights are recomputed per (hidden count, weighting, fold)
         assert calls["geometry"] == len(grid.kernel_grid) * grid.k
@@ -254,9 +287,56 @@ class TestSharedRidgePath:
         monkeypatch.setattr(rvflkit.solver, "dpotrf", lambda a, **kwargs: (a, 1))
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
         ds = random_dataset(rng, n_samples=30, n_features=3)
+        fits = distinct_fits(ds, "r2vfl-m", self.GRID)
         self.assert_cells_match_oracle(ds, "r2vfl-m", self.GRID)
-        # one LU factorization per (config, fold), in the grid and in the oracle alike
-        assert len(lu_calls) == 2 * len(enumerate_configs("r2vfl-m", self.GRID)) * self.GRID.k
+        # one LU factorization per (distinct fit, ridge gamma) in the grid, and one per
+        # (config, fold) in the oracle
+        configs = len(enumerate_configs("r2vfl-m", self.GRID))
+        assert len(lu_calls) == fits * len(self.GRID.gamma_grid) + configs * self.GRID.k
+
+    @staticmethod
+    def count_ridge_solves(monkeypatch):
+        solves = []
+        for name in ("solve_primal", "solve_dual"):
+            real = getattr(rvflkit.solver, name)
+            monkeypatch.setattr(rvflkit.solver, name,
+                                lambda *args, real=real: solves.append(1) or real(*args))
+        return solves
+
+    def test_weightings_with_equal_scores_share_one_fit(self, rng, monkeypatch):
+        # continuous features and delta at a quantile: cp is the same at every kernel
+        # gamma, and at tau = 1, r = cp; 𝓛 = 30 exceeds the training rows (dual solve)
+        ds = random_dataset(rng, n_samples=40, n_features=3, n_classes=2)
+        grid = GridSpec(gamma_grid=(1e-2, 1.0, 1e2), hidden_grid=(4, 30),
+                        kernel_grid=(0.25, 1.0, 4.0), tau_grid=(1.0,), k=3, seed=5)
+        solves = self.count_ridge_solves(monkeypatch)
+        grid_search(ds, "r2vfl-m", grid, jobs=1)
+        assert len(solves) == len(grid.hidden_grid) * grid.k
+        for jobs in (1, 3):
+            self.assert_cells_match_oracle(ds, "r2vfl-m", grid, jobs=jobs)
+
+    def test_scores_one_ulp_apart_are_fitted_apart(self, rng, monkeypatch):
+        ds = random_dataset(rng, n_samples=40, n_features=3, n_classes=2)
+        grid = GridSpec(gamma_grid=(1e-2, 1.0), hidden_grid=(5,), kernel_grid=(0.5, 2.0),
+                        tau_grid=(1.0,), k=3, seed=5)
+        assert distinct_fits(ds, "r2vfl-m", grid) == grid.k  # both kernel gammas: one r
+        scores = rvflkit.evaluate._FoldContext.scores
+
+        def nudged(ctx, config):
+            r = scores(ctx, config)
+            if config.weighting.kernel_gamma == 2.0:
+                r = r.copy()
+                r[0] = np.nextafter(r[0], np.inf)
+            return r
+
+        monkeypatch.setattr(rvflkit.evaluate._FoldContext, "scores", nudged)
+        solves = self.count_ridge_solves(monkeypatch)
+        res = grid_search(ds, "r2vfl-m", grid, jobs=1)
+        assert len(solves) == len(grid.kernel_grid) * grid.k
+        for config, mean, accs in res.trace:
+            alone = cross_validate(ds, config, grid.k, grid.seed)
+            np.testing.assert_array_equal(accs, alone.fold_accuracies)
+            assert mean == alone.mean
 
 
 def _blas_thread_counts(_task):
