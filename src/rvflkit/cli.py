@@ -187,8 +187,7 @@ def cmd_train(args):
     dataset = _load_dataset(args, overlay, args.config)
     config = _model_config(args, overlay, args.config)
     model = train(dataset, config)
-    _, labels = predict(model, dataset.features)
-    train_acc = accuracy(labels, dataset.labels)
+    train_acc = accuracy(model.train_predictions, dataset.labels)
     save_model(model, args.out)
     _emit({
         "variant": config.variant,

@@ -3,8 +3,10 @@
 ``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
 caches one fold's ``weighting.kernel_scores`` (cp and the class geometry, the
 tau-free half of the weighting that ``train`` runs too) per kernel entry and
-center scheme, and keeps no l x l matrix between configs. Its ``evaluate`` fits
-a group of configs with ``model.forward``/``model.fit_output_weights``.
+center scheme, and keeps no l x l matrix between configs. It builds the class
+geometry only when some config it serves has tau < 1, the only Huber weights that
+read it. Its ``evaluate`` fits a group of configs with
+``model.forward``/``model.fit_output_weights``.
 The grid is a shared ridge path: per fold, configs with the same hidden-node
 count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
 and its activations, and each distinct weight vector r costs one Gram matrix and
@@ -104,9 +106,9 @@ def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
 
 class _FoldContext:
     """One fold's normalized arrays plus the kernel cache its configs share; ``test``
-    marks the fold's test rows."""
+    marks the fold's test rows, and ``with_geometry`` whether any config has tau < 1."""
 
-    def __init__(self, dataset: Dataset, test: np.ndarray):
+    def __init__(self, dataset: Dataset, test: np.ndarray, with_geometry: bool = True):
         train = ~test
         norm = fit_normalization(dataset.features[train])
         self.X_tr = apply_normalization(dataset.features[train], norm)
@@ -114,6 +116,7 @@ class _FoldContext:
         self.y_tr = dataset.labels[train]
         self.y_te = dataset.labels[test]
         self.Y_tr = one_hot(self.y_tr, dataset.n_classes)
+        self.with_geometry = with_geometry
         self._kernel_cache: dict = {}
 
     def _kernel_entry(self, w: WeightingConfig, scheme: str):
@@ -121,7 +124,8 @@ class _FoldContext:
         scheme; they do not depend on tau, so the key is the weighting at tau = 1."""
         key = (replace(w, tau_multiplier=1.0), scheme)
         if key not in self._kernel_cache:
-            self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme)
+            self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme,
+                                                    self.with_geometry)
         return self._kernel_cache[key]
 
     def scores(self, config: ModelConfig) -> np.ndarray:
@@ -168,12 +172,13 @@ def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     by_hidden: dict = {}
     for i, config in enumerate(configs):
         by_hidden.setdefault(config.hidden_nodes, []).append(i)
+    with_geometry = any(c.robust and c.weighting.tau_multiplier < 1 for c in configs)
     accs = np.full((len(configs), k), np.nan)
     for f in range(k):
         test = folds == f
         if np.unique(dataset.labels[~test]).size < dataset.n_classes:
             continue  # a class is absent from the training folds: the fold is skipped
-        ctx = _FoldContext(dataset, test)
+        ctx = _FoldContext(dataset, test, with_geometry)
         for hidden, idx in by_hidden.items():
             accs[idx, f] = ctx.evaluate([configs[i] for i in idx], fold_seed(seed, hidden, f))
     valid = [row[~np.isnan(row)] for row in accs]

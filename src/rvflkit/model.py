@@ -12,6 +12,11 @@ copies X into its leading columns, and ``hidden_matrix`` writes X W into the res
 with one whole GEMM, then adds b and applies the activation in place. The bytes equal
 those of ``hstack([X, g(X @ W + b)])``; a row-blocked GEMM, or one into a block
 that is not row-major, would not give them.
+
+``train`` builds one design matrix and reads it twice: for the ridge fit and for
+the predicted labels of the training rows (``TrainedModel.train_predictions``),
+which are the bits ``predict`` would give on those rows. The weighting builds the
+class geometry only at tau < 1 (see ``weighting``).
 """
 
 from __future__ import annotations
@@ -154,6 +159,7 @@ class TrainedModel:
     config: ModelConfig
     class_names: tuple[str, ...]
     scores: ContributionScores | None = None  # training-time diagnostics (robust variants)
+    train_predictions: np.ndarray | None = None  # argmax labels of the training rows; not saved
 
     @property
     def n_features(self) -> int:
@@ -172,8 +178,10 @@ def train(dataset: Dataset, config: ModelConfig) -> TrainedModel:
                                              CENTER_SCHEMES[config.variant])
         r = scores.r
     Y = one_hot(dataset.labels, dataset.n_classes)
-    (W2,) = fit_output_weights(forward(Xn, layer, config), Y, r, (config.gamma,))
-    return TrainedModel(layer, W2, norm, config, dataset.class_names, scores)
+    design = forward(Xn, layer, config)
+    (W2,) = fit_output_weights(design, Y, r, (config.gamma,))
+    return TrainedModel(layer, W2, norm, config, dataset.class_names, scores,
+                        np.argmax(design @ W2, axis=1))
 
 
 @single_blas_thread()

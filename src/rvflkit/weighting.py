@@ -13,6 +13,11 @@ none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
 ``train`` runs both halves through ``compute_contribution_scores``; the CV fold
 code caches ``kernel_scores`` per kernel entry and runs the second half per
 config.
+
+Only a tau below 1 reads the class geometry. A class radius is its largest member
+distance, so at tau = 1 no member lies beyond it and every Huber weight is 1:
+``huber_weights`` returns ones there, and ``kernel_scores`` builds the geometry
+only when asked to, for a fit with some tau < 1.
 """
 
 from __future__ import annotations
@@ -85,10 +90,14 @@ class ClassGeometry:
     distances: np.ndarray             # (l,) distance of each sample to its own class center
 
 
-def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
-    """Compute class centers, member distances, and radii under one scheme."""
+def _check_scheme(scheme: str):
     if scheme not in ("average", "median"):
         raise WeightingError(f"unknown center scheme {scheme!r}")
+
+
+def build_class_geometry(labels, K: np.ndarray, scheme: str) -> ClassGeometry:
+    """Compute class centers, member distances, and radii under one scheme."""
+    _check_scheme(scheme)
     labels = np.asarray(labels, dtype=np.int64)
     l = labels.shape[0]
     if K.shape != (l, l):
@@ -156,8 +165,11 @@ class ContributionScores:
 
 # Floyd & Rivest's selection (CACM 18(3), 1975): a sorted random sample of the pairs
 # brackets the order statistics that delta needs; only the pairs inside the bracket
-# are collected and partitioned. Matrices with at most this many pairs skip it.
+# are collected and partitioned. Drawing and sorting the sample costs about as much as
+# partitioning 2.5 samples' worth of pairs, so a matrix with no more pairs than that
+# (100 000 pairs, l <= 447, at the default sample) partitions every pair instead.
 DELTA_SAMPLE = 40_000
+BRACKET_MIN_SAMPLES = 2.5
 
 
 def _upper_triangle_blocks(dist: np.ndarray):
@@ -229,7 +241,7 @@ def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
     prev = -1 if v >= n - 1 else int(np.floor(v))
     nxt = -1 if prev == -1 else prev + 1
     found = None
-    if n > DELTA_SAMPLE:
+    if n > BRACKET_MIN_SAMPLES * DELTA_SAMPLE:
         found = _bracketed_order_statistics(dist, [prev % n, nxt % n])
     if found is None:
         # every pair, selected by a boolean mask in np.triu_indices' order
@@ -260,9 +272,16 @@ def class_probability(labels, delta: float, dist: np.ndarray) -> np.ndarray:
     return numer / denom
 
 
-def huber_weights(labels, geometry, tau_multiplier: float) -> np.ndarray:
-    """Weight 1 inside tau_j = multiplier * radius_j of the own-class center, tau/d beyond."""
+def huber_weights(labels, geometry: ClassGeometry | None,
+                  tau_multiplier: float) -> np.ndarray:
+    """Weight 1 inside tau_j = multiplier * radius_j of the own-class center, tau/d beyond.
+
+    At multiplier 1 tau_j is the radius, the largest member distance, so every weight
+    is 1 (a NaN distance is not beyond a NaN radius either) and the geometry, which may
+    be None there, is not read."""
     labels = np.asarray(labels, dtype=np.int64)
+    if tau_multiplier == 1:
+        return np.ones(labels.shape[0])
     tau = tau_multiplier * geometry.radii[labels]
     d = geometry.distances
     m = np.ones_like(d)
@@ -280,13 +299,16 @@ def contribution_scores(cp, m) -> ContributionScores:
     return ContributionScores(cp, m, cp * m)
 
 
-def kernel_scores(features, labels, config: WeightingConfig,
-                  scheme: str) -> tuple[np.ndarray, ClassGeometry]:
+def kernel_scores(features, labels, config: WeightingConfig, scheme: str,
+                  with_geometry: bool) -> tuple[np.ndarray, ClassGeometry | None]:
     """cp and the class geometry on normalized training features: the part of the
-    weighting that does not depend on tau. One l x l array is held at a time, and freed
-    on return: the distances overwrite K, so the class geometry must read K first."""
+    weighting that does not depend on tau. The geometry, which only a tau below 1
+    reads, is None unless ``with_geometry`` is set. One l x l array is held at a time,
+    and freed on return: the distances overwrite K, so the class geometry must read K
+    first."""
+    _check_scheme(scheme)
     K = kernel_matrix(features, config)
-    geometry = build_class_geometry(labels, K, scheme)
+    geometry = build_class_geometry(labels, K, scheme) if with_geometry else None
     dist = feature_space_distance_matrix(K)
     cp = class_probability(labels, resolve_delta(dist, config), dist)
     return cp, geometry
@@ -294,6 +316,7 @@ def kernel_scores(features, labels, config: WeightingConfig,
 
 def compute_contribution_scores(features, labels, config: WeightingConfig,
                                 scheme: str) -> ContributionScores:
-    """Full weighting pipeline on normalized training features."""
-    cp, geometry = kernel_scores(features, labels, config, scheme)
+    """Full weighting pipeline on normalized training features; the class geometry is
+    built only for a tau below 1."""
+    cp, geometry = kernel_scores(features, labels, config, scheme, config.tau_multiplier < 1)
     return contribution_scores(cp, huber_weights(labels, geometry, config.tau_multiplier))

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import rvflkit
+import rvflkit.model
 from rvflkit import cli, evaluate
 from rvflkit.cli import SETTING_TYPES, main
 from rvflkit.data import DataError
@@ -55,6 +56,29 @@ class TestTrain:
         assert code == 0
         assert out_path.exists()
         assert "rvfl" in out and "training_accuracy" in out
+
+    @pytest.mark.parametrize("variant,tau", [("rvfl", None), ("r2vfl-m", "1"),
+                                             ("r2vfl-a", "0.75")])
+    def test_training_accuracy_from_one_design_matrix(self, tmp_path, capsys, monkeypatch,
+                                                      variant, tau):
+        # the fit's design matrix scores the training rows: the accuracy is the one a
+        # predict of those rows by the saved model gives
+        ds = gaussian_blobs(30, seed=5, separation=1.0, flip_fraction=0.2)
+        data = tmp_path / "noisy.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                     for x, y in zip(ds.features, ds.labels))
+        designs = []
+        real = rvflkit.model.design_matrix
+        monkeypatch.setattr(rvflkit.model, "design_matrix",
+                            lambda *args: designs.append(1) or real(*args))
+        argv = ["train", "--data", str(data), "--variant", variant, "--hidden", "9",
+                "--seed", "2", "--out", str(tmp_path / "m.rvfl"), "--format", "json"]
+        code, out = run(capsys, *argv, *(["--tau", tau] if tau else []))
+        assert code == 0 and designs == [1]
+        model = rvflkit.model.load_model(tmp_path / "m.rvfl")
+        expected = evaluate.accuracy(rvflkit.model.predict(model, ds.features)[1], ds.labels)
+        assert json.loads(out)["training_accuracy"] == round(expected, 4) < 100.0
 
     def test_unknown_variant_is_usage_error(self, toy_csv, tmp_path, capsys):
         code = main(["train", "--data", str(toy_csv), "--variant", "bogus",

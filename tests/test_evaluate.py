@@ -275,6 +275,22 @@ class TestSharedRidgePath:
         # for a weighting that differs in another field
         assert calls == ([base, weightings[2]] if change else [base]) * 3
 
+    def test_no_class_geometry_without_a_tau_below_one(self, rng, monkeypatch):
+        calls = []
+        real = rvflkit.weighting.build_class_geometry
+        monkeypatch.setattr(rvflkit.weighting, "build_class_geometry",
+                            lambda *args: calls.append(1) or real(*args))
+        ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)
+        config = ModelConfig("r2vfl-m", 5, 1.0, weighting=WeightingConfig(kernel_gamma=1.0))
+        train(ds, config)
+        cross_validate(ds, config, 3, 0)
+        grid_search(ds, "r2vfl-a", replace(self.GRID, tau_grid=(1.0,)), jobs=1)
+        assert calls == []
+        # one tau below 1 in the configs of a fold: the fold builds the geometry
+        rvflkit.evaluate._fold_accuracies(
+            ds, [config, replace(config, weighting=WeightingConfig(tau_multiplier=0.5))], 3, 0)
+        assert len(calls) == 3
+
     def test_cholesky_failure_falls_back_to_lu_inside_the_grid(self, rng, monkeypatch):
         lu_calls = []
         lu_factor = scipy.linalg.lu_factor

@@ -226,6 +226,17 @@ class TestTrain:
         W_deleted = solve_primal(D[keep], Y[keep], [10.0])[0]
         np.testing.assert_allclose(W_zeroed, W_deleted, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["rvfl", "elm", "r2vfl-a", "r2vfl-m"])
+    @pytest.mark.parametrize("tau", [1.0, 0.625])
+    def test_train_predictions_are_predict_labels(self, rng, tmp_path, variant, tau):
+        ds = random_dataset(rng, n_samples=40, n_features=3, n_classes=3)
+        w = WeightingConfig(kernel_gamma=1.0, tau_multiplier=tau) \
+            if variant.startswith("r2vfl") else None
+        model = train(ds, ModelConfig(variant, 13, 10.0, seed=2, weighting=w))
+        assert model.train_predictions.tobytes() == predict(model, ds.features)[1].tobytes()
+        save_model(model, tmp_path / "m.rvfl")
+        assert load_model(tmp_path / "m.rvfl").train_predictions is None
+
     def test_robust_variant_requires_weighting(self):
         with pytest.raises(ModelError):
             ModelConfig("r2vfl-a", 5, 1.0)
@@ -250,12 +261,16 @@ class TestPredict:
 
 GOLDEN = Path(__file__).parent / "golden"
 # The models under tests/golden/: save_model(train(golden_dataset(), config)) at commit
-# 5920cf1, which wrote the header field by field. Their labels on golden_probe().
+# 5920cf1, which wrote the header field by field, and for the tau = 1 model at commit
+# 9137b66, which built the class geometry at every tau. Their labels on golden_probe().
 GOLDEN_MODELS = {
     "r2vfl-m.rvfl": (ModelConfig("r2vfl-m", 7, 10.0, activation="tanh", seed=11,
                                  weighting=WeightingConfig(kernel_gamma=0.5, tau_multiplier=0.75,
                                                            delta_quantile=0.3)),
                      [2, 2, 1, 1, 2, 2, 2, 2]),
+    "r2vfl-a-tau1.rvfl": (ModelConfig("r2vfl-a", 8, 3.0, seed=4,
+                                      weighting=WeightingConfig(kernel_gamma=2.0)),
+                          [2, 2, 1, 1, 2, 2, 2, 2]),
     "elm.rvfl": (ModelConfig("elm", 6, 2.0, activation="relu", seed=5), [1, 1, 1, 1, 0, 0, 1, 0]),
 }
 # Every key of a robust model's header; "weighting.x" is key x of the weighting entry.
@@ -308,6 +323,11 @@ class TestSerialization:
                                    predict_scores(train(golden_dataset(), config), golden_probe()),
                                    rtol=1e-12, atol=1e-12)
         save_model(model, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_fresh_train_saves_the_golden_bytes(self, name, tmp_path):
+        save_model(train(golden_dataset(), GOLDEN_MODELS[name][0]), tmp_path / name)
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_header_keys(self, rng, tmp_path):

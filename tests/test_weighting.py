@@ -67,6 +67,66 @@ class TestHuberWeights:
         assert abs(m[np.searchsorted(ds, tau)] - 1.0) < 0.02
 
 
+def huber_path(labels, geometry, tau_multiplier):
+    """The Huber weights computed in full, for every multiplier: weight 1 inside
+    tau_j = multiplier * radius_j, tau_j / d beyond."""
+    tau = tau_multiplier * geometry.radii[labels]
+    m = np.ones_like(geometry.distances)
+    np.divide(tau, geometry.distances, out=m, where=geometry.distances > tau)
+    return m
+
+
+class TestTauOne:
+    """At tau = 1 every Huber weight is 1, so the weighting builds no class geometry;
+    cp, m and r keep the bytes the full Huber path gives."""
+
+    @pytest.mark.parametrize("scheme", ["average", "median"])
+    @pytest.mark.parametrize("identical_class", [False, True])
+    def test_scores_equal_the_full_huber_path(self, rng, scheme, identical_class):
+        ds = random_dataset(rng, n_samples=25, n_features=3, n_classes=3)
+        X = ds.features.copy()
+        if identical_class:
+            X[ds.labels == 1] = X[np.flatnonzero(ds.labels == 1)[0]]  # radius 0
+        geometry = build_class_geometry(ds.labels, kernel_matrix(X, W1), scheme)
+        if identical_class:
+            assert geometry.radii[1] == 0.0
+        m = huber_path(ds.labels, geometry, 1.0)
+        cp = class_probability(ds.labels, resolve_delta(distances(X), W1), distances(X))
+        s = compute_contribution_scores(X, ds.labels, W1, scheme)
+        for got, expected in ((s.cp, cp), (s.m, m), (s.r, cp * m)):
+            assert got.tobytes() == expected.tobytes()
+        assert huber_weights(ds.labels, geometry, 1.0).tobytes() == m.tobytes()
+
+    def test_no_distance_exceeds_a_nan_radius(self):
+        distances_ = np.array([0.5, np.nan, 0.25, 0.0])
+        labels = np.array([0, 0, 1, 1])
+        radii = np.array([np.max(distances_[:2]), np.max(distances_[2:])])
+        geometry = weighting.ClassGeometry(radii, distances_)
+        assert huber_path(labels, geometry, 1.0).tobytes() == np.ones(4).tobytes()
+        assert huber_weights(labels, None, 1.0).tobytes() == np.ones(4).tobytes()
+
+    def test_no_class_geometry_at_tau_one_only(self, rng, monkeypatch):
+        calls = []
+        real = weighting.build_class_geometry
+        monkeypatch.setattr(weighting, "build_class_geometry",
+                            lambda *args: calls.append(1) or real(*args))
+        ds = random_dataset(rng, n_samples=20, n_features=2)
+        compute_contribution_scores(ds.features, ds.labels, W1, "median")
+        assert calls == []
+        compute_contribution_scores(ds.features, ds.labels,
+                                    WeightingConfig(kernel_gamma=1.0, tau_multiplier=0.75),
+                                    "median")
+        assert calls == [1]
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_unknown_scheme_rejected(self, rng, tau):
+        ds = random_dataset(rng, n_samples=10, n_features=2)
+        with pytest.raises(WeightingError, match="unknown center scheme"):
+            compute_contribution_scores(ds.features, ds.labels,
+                                        WeightingConfig(kernel_gamma=1.0, tau_multiplier=tau),
+                                        "mode")
+
+
 class TestContributionScores:
     def test_product(self):
         s = contribution_scores([1.0, 0.5], [1.0, 0.5])
@@ -115,7 +175,7 @@ class TestResolveDelta:
     def test_interpolation_between_distant_neighbours(self, rng):
         # the two order statistics straddle a gap, so both of numpy's interpolation
         # formulas matter: a + (b - a) t below t = 1/2 and b - (b - a)(1 - t) from it on
-        l = 400
+        l = 500
         n = l * (l - 1) // 2
         dist = 0.2 + rng.random((l, l))
         upper = np.triu_indices(l, 1)
@@ -129,10 +189,10 @@ class TestResolveDelta:
             assert np.float64(got).tobytes() == expected.tobytes(), q
 
     def test_large_matrix_takes_the_bracket(self, rng):
-        l = 400  # 79 800 pairs: more than the sample
+        l = 500  # 124 750 pairs: enough for resolve_delta to take the bracket
         dist = distances(rng.normal(size=(l, 3)))
-        assert l * (l - 1) // 2 > weighting.DELTA_SAMPLE
-        ranks = [39_899, 39_900]
+        assert l * (l - 1) // 2 > weighting.BRACKET_MIN_SAMPLES * weighting.DELTA_SAMPLE
+        ranks = [62_374, 62_375]
         found = weighting._bracketed_order_statistics(dist, ranks)
         np.testing.assert_array_equal(found, np.sort(dist[np.triu_indices(l, 1)])[ranks])
 
@@ -147,7 +207,7 @@ class TestResolveDelta:
             return None
 
         monkeypatch.setattr(weighting, "_bracketed_order_statistics", spy)
-        l = 300
+        l = 500
         dist = distances(rng.normal(size=(l, 3)))
         expected = np.quantile(dist[np.triu_indices(l, 1)], 0.37)
         config = WeightingConfig(kernel_gamma=1.0, delta_quantile=0.37)
@@ -155,7 +215,7 @@ class TestResolveDelta:
         assert misses == [True]
 
     def test_nan_gives_nan_like_np_quantile(self, rng):
-        dist = rng.random((300, 300))
+        dist = rng.random((500, 500))  # large enough for the bracket, which a NaN defeats
         dist[5, 200] = np.nan
         assert np.isnan(resolve_delta(dist, W1))
 
