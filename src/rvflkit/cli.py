@@ -384,6 +384,13 @@ def cmd_stats_wilcoxon(args):
     return EXIT_OK
 
 
+def _handler(name):
+    """The command function ``name``, looked up in this module each time it runs, so the
+    one cached parser calls whatever the module holds under that name."""
+    return lambda args: globals()[name](args)
+
+
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="rvflkit",
                      description="Robust RVFL classifiers, benchmarking, and model statistics")
@@ -415,18 +422,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one model and save it")
     add_data(p); add_hyper(p); add_common(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=_handler("cmd_train"))
 
     p = sub.add_parser("predict", help="predict labels with a saved model; rows of the "
                        "model's feature count hold no label, rows of one more field do")
     add_data(p); add_common(p)
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=_handler("cmd_predict"))
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     add_data(p); add_hyper(p); add_common(p)
     p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_cv)
+    p.set_defaults(func=_handler("cmd_cv"))
 
     p = sub.add_parser("grid", help="exhaustive hyperparameter grid search")
     add_data(p); add_common(p)
@@ -436,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the full trace CSV here")
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=_handler("cmd_grid"))
 
     p = sub.add_parser("bench", help="benchmark models across datasets from a manifest")
     add_common(p)
@@ -445,7 +452,7 @@ def build_parser() -> _Parser:
                    help="comma-separated model list override")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=_jobs, default=1)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=_handler("cmd_bench"))
 
     p = sub.add_parser("stats", help="model-comparison statistics")
     stats_sub = p.add_subparsers(dest="stats_command", required=True)
@@ -455,7 +462,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--table", help="accuracy table CSV (dataset column + model columns)")
     sp.add_argument("--ranks", help="average-ranks CSV (model header + one rank row)")
     sp.add_argument("--datasets", type=int, help="dataset count (required with --ranks)")
-    sp.set_defaults(func=cmd_stats_friedman)
+    sp.set_defaults(func=_handler("cmd_stats_friedman"))
 
     sp = stats_sub.add_parser("nemenyi")
     add_common(sp)
@@ -465,7 +472,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--q-alpha", dest="q_alpha", type=float,
                     help="critical value; defaults to the built-in alpha=0.05 table")
     sp.add_argument("--reference", help="reference model name (default: best rank)")
-    sp.set_defaults(func=cmd_stats_nemenyi)
+    sp.set_defaults(func=_handler("cmd_stats_nemenyi"))
 
     sp = stats_sub.add_parser("wilcoxon")
     add_common(sp)
@@ -473,7 +480,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--a", required=True, help="first model column")
     sp.add_argument("--b", required=True, help="second model column")
     sp.add_argument("--alpha", type=_alpha, default=0.05)
-    sp.set_defaults(func=cmd_stats_wilcoxon)
+    sp.set_defaults(func=_handler("cmd_stats_wilcoxon"))
 
     return parser
 

@@ -154,19 +154,18 @@ _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 def _read_loadtxt(text, path, has_header, label_column, n_features):
     """``_read_cells`` in one ``np.loadtxt`` pass. Raises ValueError on every input it
-    might read differently: a blank or quoted first line, a ragged row (the structured
-    dtype takes exactly ``width`` fields), a cell ``loadtxt`` cannot parse (quotes,
-    ``1_0``, blank cells), a non-finite value, a quoted label or a line break that only
-    ``str.splitlines`` splits on."""
-    if any(c in text for c in _SPLITLINES_ONLY):
-        raise ValueError("a line break the csv module does not split on")
+    might read differently: any quote, a blank first line, a ragged row (the structured
+    dtype takes exactly ``width`` fields), a cell ``loadtxt`` cannot parse (``1_0``,
+    blank cells), a non-finite value or a line break that only ``str.splitlines``
+    splits on."""
+    if '"' in text or any(c in text for c in _SPLITLINES_ONLY):
+        raise ValueError("a quote, or a line break the csv module does not split on")
     lines = text.splitlines()
     skip = 1 if has_header else 0
     head = lines[:skip + 1]
     # the csv reader skips rows of blank cells, where skiprows counts lines
-    if len(head) <= skip or not all(line.replace(",", "").strip() and '"' not in line
-                                    for line in head):
-        raise ValueError("blank or quoted line before the first data row")
+    if len(head) <= skip or not all(line.replace(",", "").strip() for line in head):
+        raise ValueError("blank line before the first data row")
     width = head[-1].count(",") + 1
     label_idx = _label_index(path, width, label_column, n_features)
     dtype = [(f"c{j}", object if j == label_idx else "f8") for j in range(width)]
@@ -177,10 +176,7 @@ def _read_loadtxt(text, path, has_header, label_column, n_features):
         raise ValueError("non-finite feature value")
     if label_idx is None:
         return features, None
-    labels = [cell.strip() for cell in table[f"c{label_idx}"]]
-    if any('"' in lab for lab in labels):
-        raise ValueError("quoted label")
-    return features, labels
+    return features, [cell.strip() for cell in table[f"c{label_idx}"]]
 
 
 def read_features(path, has_header: bool = False, label_column="last",

@@ -6,6 +6,13 @@ center, the kernel mean (R2VFL-A) or the feature-wise median of the class's
 kernel rows (R2VFL-M); the center scheme is read off the variant
 (``model.CENTER_SCHEMES``).
 
+The pairwise work stops at squared distances S_ij = (k_i + k_j) - 2 K_ij, written
+over K. A distance is sqrt(max(S_ij, 0)), which is monotone and correctly
+rounded, so no l x l root is taken: ``resolve_delta`` selects its two order
+statistics among the squares and roots only those, and ``class_probability``
+compares S against the largest square whose root lies within delta. Both give
+the bytes that the rooted distances give.
+
 The pipeline splits once, at tau. ``kernel_scores`` does all the l x l work,
 none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
 ``class_probability``, the class geometry), and keeps only cp and the geometry.
@@ -22,6 +29,7 @@ only when asked to, for a fit with some tau < 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +44,23 @@ class WeightingError(ValueError):
 ROW_BLOCK = 64
 
 
-def _finish_squared_distances(G: np.ndarray, s: np.ndarray, finish) -> np.ndarray:
-    """Square G <- finish(max((s_i + s_j) - 2 G_ij, 0)), in place, a block of rows at a
-    time; ``finish`` maps a block onto itself."""
+def _finish_squared_distances(G: np.ndarray, s: np.ndarray, finish=None) -> np.ndarray:
+    """Square G <- (s_i + s_j) - 2 G_ij, in place, a block of rows at a time, each block
+    then mapped onto itself by ``finish`` if one is given.
+
+    A block of s_i + s_j is the product [s_i, 1] [1, s_j]^T: both products are exact,
+    so the one rounding of their sum is that of the sum itself, and a GEMM of inner
+    dimension 2 runs faster than numpy's broadcast add."""
     tmp = np.empty((ROW_BLOCK, G.shape[1]))
+    left = np.stack([s, np.ones_like(s)], axis=1)
+    right = np.stack([np.ones_like(s), s])
     for i in range(0, G.shape[0], ROW_BLOCK):
         blk = G[i:i + ROW_BLOCK]
-        st = np.add(s[i:i + ROW_BLOCK, None], s, out=tmp[:blk.shape[0]])
+        st = np.matmul(left[i:i + ROW_BLOCK], right, out=tmp[:blk.shape[0]])
         blk *= 2.0
         np.subtract(st, blk, out=blk)
-        np.clip(blk, 0.0, None, out=blk)
-        finish(blk)
+        if finish is not None:
+            finish(blk)
     return G
 
 
@@ -55,14 +69,15 @@ def kernel_matrix(X, config: WeightingConfig) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     # one whole syrk: a row-blocked product would not be bit-equal
     return _finish_squared_distances(
-        X @ X.T, np.sum(X * X, axis=1),
-        lambda blk: np.exp(np.multiply(blk, -config.kernel_gamma, out=blk), out=blk))
+        X @ X.T, np.sum(X * X, axis=1), lambda blk: np.exp(np.multiply(
+            np.maximum(blk, 0.0, out=blk), -config.kernel_gamma, out=blk), out=blk))
 
 
 def feature_space_distance_matrix(K: np.ndarray) -> np.ndarray:
-    """Pairwise feature-space distances from a square kernel matrix K(X, X), written
-    into K's buffer."""
-    return _finish_squared_distances(K, np.diag(K).copy(), lambda blk: np.sqrt(blk, out=blk))
+    """Pairwise squared feature-space distances (k_i + k_j) - 2 K_ij from a square kernel
+    matrix K(X, X), written into K's buffer. Rounding may leave an entry slightly
+    below 0; the distance itself is sqrt(max(entry, 0))."""
+    return _finish_squared_distances(K, np.diag(K).copy())
 
 
 def median_center(K_class: np.ndarray) -> np.ndarray:
@@ -223,15 +238,17 @@ def _bracketed_order_statistics(dist: np.ndarray, ranks):
     return inside[kth]
 
 
-def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
+def resolve_delta(sq: np.ndarray, config: WeightingConfig) -> float:
     """Neighborhood radius: the absolute delta, or a quantile of the pairwise distances.
 
-    The quantile equals ``np.quantile`` (linear method) of the entries above the
-    diagonal, bit for bit, without copying them all.
+    ``sq`` holds the squared distances. The quantile equals ``np.quantile`` (linear
+    method) of the distances sqrt(max(sq, 0)) above the diagonal, bit for bit: the root
+    is monotone, so the two order statistics are selected among the squares, without
+    copying them all, and only those two are rooted.
     """
     if config.delta is not None:
         return float(config.delta)
-    l = dist.shape[0]
+    l = sq.shape[0]
     if l < 2:
         raise WeightingError("need at least 2 samples to resolve delta from pairwise distances")
     n = l * (l - 1) // 2
@@ -239,37 +256,58 @@ def resolve_delta(dist: np.ndarray, config: WeightingConfig) -> float:
     # np.quantile's virtual index and its neighbours; -1 is the last entry
     v = (n - 1) * q
     prev = -1 if v >= n - 1 else int(np.floor(v))
-    nxt = -1 if prev == -1 else prev + 1
+    ranks = [n - 1, n - 1] if prev == -1 else [prev, prev + 1]
     found = None
     if n > BRACKET_MIN_SAMPLES * DELTA_SAMPLE:
-        found = _bracketed_order_statistics(dist, [prev % n, nxt % n])
+        found = _bracketed_order_statistics(sq, ranks)
     if found is None:
-        # every pair, selected by a boolean mask in np.triu_indices' order
-        pair = dist[np.arange(l)[:, None] < np.arange(l)]
-        return float(np.quantile(pair, q, overwrite_input=True))
-    # np.quantile's linear interpolation (numpy's _lerp), with t = v - prev
-    a, b = found
+        # every pair, selected by a boolean mask in np.triu_indices' order; a NaN sorts
+        # last and makes the quantile NaN, as in np.quantile
+        pair = sq[np.arange(l)[:, None] < np.arange(l)]
+        pair.partition([*ranks, n - 1])
+        if np.isnan(pair[-1]):
+            return math.nan
+        found = pair[ranks]
+    # np.quantile's linear interpolation (numpy's _lerp) of the two distances
+    a, b = np.sqrt(np.maximum(found, 0.0))
     t = v - prev
     diff = b - a
-    if t >= 0.5:
-        return float(b - diff * (1 - t))
-    return float(a + diff * t)
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
-def class_probability(labels, delta: float, dist: np.ndarray) -> np.ndarray:
-    """Fraction of each sample's delta-neighborhood sharing its label.
+def _squared_radius(delta: float) -> float:
+    """The largest double t with sqrt(max(t, 0)) <= delta: a squared distance s is within
+    delta, sqrt(max(s, 0)) <= delta, exactly when s <= t. The root is correctly rounded,
+    so t lies a few steps from delta^2."""
+    if not delta >= 0:  # negative or NaN: no distance is within delta
+        return -math.inf
+    t = delta * delta
+    while math.sqrt(max(t, 0.0)) > delta:
+        t = math.nextafter(t, -math.inf)
+    while t < math.inf and math.sqrt(max(math.nextafter(t, math.inf), 0.0)) <= delta:
+        t = math.nextafter(t, math.inf)
+    return t
 
-    The sample itself counts in both numerator and denominator, so cp > 0.
+
+def class_probability(labels, delta: float, sq: np.ndarray) -> np.ndarray:
+    """Fraction of each sample's delta-neighborhood sharing its label, from the squared
+    distances ``sq``: j is i's neighbour when sqrt(max(sq_ij, 0)) <= delta.
+
+    The sample itself counts in both numerator and denominator, so cp > 0. A block of
+    0/1 neighbour rows times the one-hot labels counts each row's neighbours per class,
+    exact integers in float64.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    denom = np.empty(dist.shape[0], dtype=np.int64)
-    numer = np.empty(dist.shape[0], dtype=np.int64)
-    for i in range(0, dist.shape[0], ROW_BLOCK):
-        within = dist[i:i + ROW_BLOCK] <= delta
-        denom[i:i + ROW_BLOCK] = np.count_nonzero(within, axis=1)
-        within &= labels[i:i + ROW_BLOCK, None] == labels
-        numer[i:i + ROW_BLOCK] = np.count_nonzero(within, axis=1)
-    return numer / denom
+    l = sq.shape[0]
+    t = _squared_radius(float(delta))
+    onehot = (labels[:, None] == np.arange(labels.max() + 1)).astype(np.float64)
+    within = np.empty((ROW_BLOCK, l))
+    counts = np.empty((l, onehot.shape[1]))
+    for i in range(0, l, ROW_BLOCK):
+        rows = sq[i:i + ROW_BLOCK]
+        np.matmul(np.less_equal(rows, t, out=within[:rows.shape[0]]), onehot,
+                  out=counts[i:i + ROW_BLOCK])
+    return counts[np.arange(l), labels] / counts.sum(axis=1)
 
 
 def huber_weights(labels, geometry: ClassGeometry | None,
@@ -309,8 +347,8 @@ def kernel_scores(features, labels, config: WeightingConfig, scheme: str,
     _check_scheme(scheme)
     K = kernel_matrix(features, config)
     geometry = build_class_geometry(labels, K, scheme) if with_geometry else None
-    dist = feature_space_distance_matrix(K)
-    cp = class_probability(labels, resolve_delta(dist, config), dist)
+    sq = feature_space_distance_matrix(K)
+    cp = class_probability(labels, resolve_delta(sq, config), sq)
     return cp, geometry
 
 

@@ -86,8 +86,11 @@ def feature_space_distance(x, y, gamma) -> float:
 
 
 def distances(X) -> np.ndarray:
-    """Pairwise feature-space distances of the rows of X under the kernel gamma 1."""
-    return feature_space_distance_matrix(kernel_matrix(X, WeightingConfig(kernel_gamma=1.0)))
+    """Pairwise feature-space distances of the rows of X under the kernel gamma 1, as
+    sqrt(max(squared, 0)) of the squared distances. ``D ** 2`` stands in for the
+    squared distances wherever only comparisons with D matter: sqrt(fl(d^2)) = d."""
+    sq = feature_space_distance_matrix(kernel_matrix(X, WeightingConfig(kernel_gamma=1.0)))
+    return np.sqrt(np.clip(sq, 0.0, None))
 
 
 def masked_sigmoid(Z):

@@ -164,6 +164,8 @@ def csv_files(draw):
 @example(('1,a\n2,"b"\n3,b\n', False, "last", 2), None)      # quoted label after row 0
 @example(("1,a\n2,b\nnan,a\n", False, "last", 2), None)       # non-finite after row 0
 @example(('"h,h\n1,a\n2,b\n', True, "last", 2), None)         # header quote never closed
+@example(('"f",g\n1,a\n2,b\n', True, "last", 2), None)        # quoted header
+@example(('f,g\n1,a\n2,b\n3,"a"\n', True, "last", 2), None)  # quoted label on a later row
 @example(("\n1,1\n1,a\n2,b\n", True, "last", 2), None)       # blank line before the header
 @example((" , \na,0.0\nb,0.0\n", True, 0, 2), None)           # row of blank cells, then header
 @example(("\ufeff1_0,a\r2,b\r", False, 0, 2), 0)              # BOM, lone CR, label first

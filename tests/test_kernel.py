@@ -92,10 +92,12 @@ class TestFeatureSpaceDistance:
         A = rng.random((l, l))
         K = A + A.T
         d = np.diag(K)
-        expected = np.sqrt(np.clip(d[:, None] + d[None, :] - 2.0 * K, 0.0, None))
-        dist = feature_space_distance_matrix(K)
-        assert dist is K  # written into K's own buffer
-        np.testing.assert_array_equal(dist, expected)
+        squared = d[:, None] + d[None, :] - 2.0 * K
+        expected = np.sqrt(np.clip(squared, 0.0, None))
+        sq = feature_space_distance_matrix(K)
+        assert sq is K  # written into K's own buffer
+        np.testing.assert_array_equal(sq, squared)
+        np.testing.assert_array_equal(np.sqrt(np.clip(sq, 0.0, None)), expected)
 
 
 class TestCenters:

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvflkit import weighting
+from rvflkit.data import apply_normalization, fit_normalization, stratified_k_fold
+from rvflkit.datasets import tic_tac_toe_dataset
 from rvflkit.model import ModelConfig, train
 from rvflkit.weighting import WeightingConfig, WeightingError, build_class_geometry, \
-    class_probability, compute_contribution_scores, contribution_scores, huber_weights, \
-    kernel_matrix, resolve_delta
+    class_probability, compute_contribution_scores, contribution_scores, \
+    feature_space_distance_matrix, huber_weights, kernel_matrix, kernel_scores, resolve_delta
 from conftest import distances, feature_space_distance, random_dataset
 
 W1 = WeightingConfig(kernel_gamma=1.0)
@@ -17,27 +21,27 @@ W1 = WeightingConfig(kernel_gamma=1.0)
 class TestClassProbability:
     def test_isolated_point_is_one(self):
         X = np.array([[0.0], [100.0]])
-        cp = class_probability([0, 1], 0.01, distances(X))
+        cp = class_probability([0, 1], 0.01, distances(X) ** 2)
         np.testing.assert_allclose(cp, [1.0, 1.0])
 
     def test_pure_neighborhood_is_one(self):
         X = np.array([[0.0], [0.1], [50.0]])
-        cp = class_probability([0, 0, 1], 0.5, distances(X))
+        cp = class_probability([0, 0, 1], 0.5, distances(X) ** 2)
         assert cp[0] == 1.0 and cp[1] == 1.0
 
     def test_mixed_neighborhood_ratio(self):
         # three points all within delta, labels A A B: first point sees 2/3
         X = np.array([[0.0], [0.1], [0.2]])
-        cp = class_probability([0, 0, 1], 2.0, distances(X))
+        cp = class_probability([0, 0, 1], 2.0, distances(X) ** 2)
         assert cp[0] == pytest.approx(2 / 3)
 
     def test_duplicating_samples_keeps_cp(self, rng):
         ds = random_dataset(rng, n_samples=12)
         d1 = distances(ds.features)
-        cp1 = class_probability(ds.labels, 0.6, d1)
+        cp1 = class_probability(ds.labels, 0.6, d1 ** 2)
         X2 = np.vstack([ds.features, ds.features])
         y2 = np.concatenate([ds.labels, ds.labels])
-        cp2 = class_probability(y2, 0.6, distances(X2))
+        cp2 = class_probability(y2, 0.6, distances(X2) ** 2)
         np.testing.assert_allclose(cp2[:len(cp1)], cp1)
 
 
@@ -91,7 +95,8 @@ class TestTauOne:
         if identical_class:
             assert geometry.radii[1] == 0.0
         m = huber_path(ds.labels, geometry, 1.0)
-        cp = class_probability(ds.labels, resolve_delta(distances(X), W1), distances(X))
+        sq = distances(X) ** 2
+        cp = class_probability(ds.labels, resolve_delta(sq, W1), sq)
         s = compute_contribution_scores(X, ds.labels, W1, scheme)
         for got, expected in ((s.cp, cp), (s.m, m), (s.r, cp * m)):
             assert got.tobytes() == expected.tobytes()
@@ -151,13 +156,13 @@ class TestResolveDelta:
     def test_single_pair(self):
         X = np.array([[0.0], [1.0]])
         expected = feature_space_distance(X[0], X[1], 1.0)
-        assert resolve_delta(distances(X), W1) == pytest.approx(expected)
+        assert resolve_delta(distances(X) ** 2, W1) == pytest.approx(expected)
 
     def test_median_of_three_pairs(self):
         X = np.array([[0.0], [0.3], [0.9]])
         d = sorted(feature_space_distance(X[i], X[j], 1.0)
                    for i in range(3) for j in range(i + 1, 3))
-        assert resolve_delta(distances(X), W1) == pytest.approx(d[1])
+        assert resolve_delta(distances(X) ** 2, W1) == pytest.approx(d[1])
 
     def test_needs_two_samples(self):
         with pytest.raises(WeightingError):
@@ -170,7 +175,7 @@ class TestResolveDelta:
         for q in (0.01, 0.25, 0.5, 0.6, 0.99):
             expected = np.quantile(dist[np.triu_indices(l, 1)], q)
             config = WeightingConfig(kernel_gamma=1.0, delta_quantile=q)
-            assert resolve_delta(dist, config) == expected
+            assert resolve_delta(dist ** 2, config) == expected
 
     def test_interpolation_between_distant_neighbours(self, rng):
         # the two order statistics straddle a gap, so both of numpy's interpolation
@@ -185,7 +190,8 @@ class TestResolveDelta:
         for t in np.linspace(0.01, 0.99, 99):
             q = (k - 1 + t) / (n - 1)
             expected = np.quantile(dist[upper], q)
-            got = resolve_delta(dist, WeightingConfig(kernel_gamma=1.0, delta_quantile=float(q)))
+            got = resolve_delta(dist ** 2,
+                                WeightingConfig(kernel_gamma=1.0, delta_quantile=float(q)))
             assert np.float64(got).tobytes() == expected.tobytes(), q
 
     def test_large_matrix_takes_the_bracket(self, rng):
@@ -211,13 +217,13 @@ class TestResolveDelta:
         dist = distances(rng.normal(size=(l, 3)))
         expected = np.quantile(dist[np.triu_indices(l, 1)], 0.37)
         config = WeightingConfig(kernel_gamma=1.0, delta_quantile=0.37)
-        assert resolve_delta(dist, config) == expected
+        assert resolve_delta(dist ** 2, config) == expected
         assert misses == [True]
 
     def test_nan_gives_nan_like_np_quantile(self, rng):
         dist = rng.random((500, 500))  # large enough for the bracket, which a NaN defeats
         dist[5, 200] = np.nan
-        assert np.isnan(resolve_delta(dist, W1))
+        assert np.isnan(resolve_delta(dist ** 2, W1))
 
     def test_config_validation(self):
         with pytest.raises(WeightingError):
@@ -244,7 +250,7 @@ def test_delta_equals_np_quantile_bit_for_bit(seed, l, distinct, q, sample):
     dist = rng.random((l, l)) if distinct is None else rng.integers(0, distinct, (l, l)) / distinct
     expected = np.quantile(dist[np.triu_indices(l, 1)], q)
     with mock.patch.object(weighting, "DELTA_SAMPLE", sample):
-        got = resolve_delta(dist, WeightingConfig(kernel_gamma=1.0, delta_quantile=q))
+        got = resolve_delta(dist ** 2, WeightingConfig(kernel_gamma=1.0, delta_quantile=q))
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
@@ -284,3 +290,77 @@ def test_robust_train_builds_distance_matrix_once(rng, monkeypatch, variant):
     ds = random_dataset(rng, n_samples=20)
     train(ds, ModelConfig(variant, 9, 10.0, seed=1, weighting=W1))
     assert calls == [(20, 20)]
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, SMALLEST_NORMAL, exclude_max=True),   # subnormal
+    st.floats(SMALLEST_NORMAL, 1e-150),                     # delta^2 underflows
+    st.floats(0.0, 4.0),                                    # distances lie in [0, sqrt 2]
+    st.floats(1e150, 1.7976931348623157e308)))               # delta^2 overflows
+def test_squared_radius_is_the_largest_square_within_delta(delta):
+    t = weighting._squared_radius(delta)
+    assert math.sqrt(max(t, 0.0)) <= delta < math.sqrt(math.nextafter(t, math.inf))
+
+
+def reference_delta_and_cp(labels, sq, q):
+    """delta and cp by their first definition: the distances sqrt(max(sq, 0)), the
+    np.quantile of those above the diagonal, and masked neighbour counts."""
+    D = np.sqrt(np.clip(sq, 0.0, None))
+    delta = np.quantile(D[np.triu_indices(D.shape[0], 1)], q)
+    within = D <= delta
+    same = within & (labels[:, None] == labels)
+    return delta, np.count_nonzero(same, axis=1) / np.count_nonzero(within, axis=1)
+
+
+class TestSquaredDistancesMatchTheReference:
+    """delta and cp from the squared distances equal, bit for bit, the sqrt/clip
+    distances' np.quantile and masked counts: on tic-tac-toe, whose distances tie and,
+    at a large kernel gamma, saturate at sqrt 2, and on continuous data."""
+
+    def check(self, X, labels, config):
+        sq = feature_space_distance_matrix(kernel_matrix(X, config))
+        expected_delta, expected_cp = reference_delta_and_cp(labels, sq, config.delta_quantile)
+        delta = resolve_delta(sq, config)
+        assert np.float64(delta).tobytes() == expected_delta.tobytes()
+        assert class_probability(labels, delta, sq).tobytes() == expected_cp.tobytes()
+        cp, _ = kernel_scores(X, labels, config, "median", False)
+        assert cp.tobytes() == expected_cp.tobytes()
+
+    @pytest.mark.parametrize("gamma", [2.0 ** -5, 1.0, 2.0 ** 5])
+    def test_tic_tac_toe_folds(self, gamma):
+        ds = tic_tac_toe_dataset()
+        folds = stratified_k_fold(ds, 5, seed=0)
+        for f in range(5):
+            X, y = ds.features[folds != f], ds.labels[folds != f]
+            self.check(apply_normalization(X, fit_normalization(X)), y,
+                       WeightingConfig(kernel_gamma=gamma))
+
+    @pytest.mark.parametrize("l", [2, 3, weighting.ROW_BLOCK + 1, 300, 500])
+    @pytest.mark.parametrize("q", [0.01, 0.5, 0.9])
+    def test_continuous_data(self, rng, l, q):
+        ds = random_dataset(rng, n_samples=l, n_features=4, n_classes=3 if l > 2 else 2)
+        for gamma in (0.1, 1.0, 10.0):
+            self.check(ds.features, ds.labels, WeightingConfig(kernel_gamma=gamma,
+                                                               delta_quantile=q))
+
+
+@pytest.mark.parametrize("l", [600, 1200])   # every-pair delta at 600, the bracket at 1200
+@pytest.mark.parametrize("scheme", ["average", "median"])
+@pytest.mark.parametrize("with_geometry", [False, True])
+def test_kernel_scores_peak_memory(rng, l, scheme, with_geometry):
+    # K itself is 8 l^2 bytes; the selection of delta and the balanced classes' blocks
+    # add at most 0.6 of that, and cp's buffers stay at a few rows of l
+    X = rng.random((l, 9))
+    labels = np.arange(l) % 2
+    tracemalloc.start()
+    try:
+        kernel_scores(X, labels, W1, scheme, with_geometry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * l * l + 1e6
