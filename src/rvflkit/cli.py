@@ -40,13 +40,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_overlay(path):
+def _check_keys(settings: dict, keys, source):
+    """Raises DataError naming the first key of ``settings`` that is not in ``keys``:
+    a key that nothing reads would otherwise leave its setting at the default."""
+    unknown = next((key for key in settings if key not in keys), None)
+    if unknown is not None:
+        raise DataError(f"{source}: unknown key {json.dumps(unknown)}")
+
+
+def _load_overlay(path, keys):
+    """The JSON object in ``path`` ({} for None), whose keys must be among ``keys``."""
     if path is None:
         return {}
     with open(path) as fh:
         overlay = json.load(fh)
     if not isinstance(overlay, dict):
         raise DataError(f"{path} must hold a JSON object")
+    _check_keys(overlay, keys, path)
     return overlay
 
 
@@ -58,13 +68,15 @@ _KINDS = {
     "true or false": lambda v: type(v) is bool,
     '"last" or an integer': lambda v: v == "last" or type(v) is int,
     "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
 }
 SETTING_TYPES = {
     **dict.fromkeys(("hidden", "k", "seed"), "an integer"),
     **dict.fromkeys(("gamma", "kernel_gamma", "tau", "delta", "delta_quantile"), "a number"),
     **dict.fromkeys(("variant", "activation", "name", "path"), "a string"),
-    **dict.fromkeys(("gamma_grid", "hidden_grid", "kernel_grid", "tau_grid"), "a list of numbers"),
+    **dict.fromkeys(("gamma_grid", "kernel_grid", "tau_grid"), "a list of numbers"),
+    "hidden_grid": "a list of integers",
     "has_header": "true or false", "label_column": '"last" or an integer',
     "models": "a list of strings",
 }
@@ -94,6 +106,23 @@ def _config(cls, setting, **given):
     """``cls`` from ``given``, and every other field from ``setting(cli name, default)``."""
     return cls(**given, **{f.name: setting(_CLI_NAMES.get(f.name, f.name), f.default)
                            for f in fields(cls) if f.name not in given})
+
+
+def _settings(*classes) -> set:
+    """The setting names of the classes' fields; the nested weighting config is not one."""
+    return {_CLI_NAMES.get(f.name, f.name) for cls in classes for f in fields(cls)} - {"weighting"}
+
+
+# The JSON keys of each command's file: a dataset's settings, its configs' fields, and
+# bench's manifest entries; a manifest's "grid" object holds only the *_grid axes.
+_DATA_KEYS = {"path", "has_header", "label_column", "name"}
+_GRID_AXES = {key for key in _settings(GridSpec) if key.endswith("_grid")}
+_KEYS = {
+    "train": _DATA_KEYS | _settings(ModelConfig, WeightingConfig),
+    "cv": _DATA_KEYS | _settings(ModelConfig, WeightingConfig) | {"k"},
+    "grid": _DATA_KEYS | _settings(GridSpec),
+    "bench": (_settings(GridSpec) - _GRID_AXES) | {"datasets", "models", "grid"},
+}
 
 
 def _model_config(args, overlay, source) -> ModelConfig:
@@ -183,7 +212,7 @@ def _emit(payload: dict, fmt: str):
 
 
 def cmd_train(args):
-    overlay = _load_overlay(args.config)
+    overlay = _load_overlay(args.config, _KEYS["train"])
     dataset = _load_dataset(args, overlay, args.config)
     config = _model_config(args, overlay, args.config)
     model = train(dataset, config)
@@ -213,7 +242,7 @@ def cmd_predict(args):
 
 
 def cmd_cv(args):
-    overlay = _load_overlay(args.config)
+    overlay = _load_overlay(args.config, _KEYS["cv"])
     dataset = _load_dataset(args, overlay, args.config)
     config = _model_config(args, overlay, args.config)
     k = _resolve(args, overlay, "k", GridSpec.k, args.config)
@@ -251,7 +280,7 @@ def _write_trace(path, result):
 
 
 def cmd_grid(args):
-    overlay = _load_overlay(args.grid_file)
+    overlay = _load_overlay(args.grid_file, _KEYS["grid"])
     dataset = _load_dataset(args, overlay, args.grid_file)
     grid = _grid_spec(args, overlay, overlay, args.grid_file)
     result = grid_search(dataset, args.variant, grid, jobs=args.jobs)
@@ -282,21 +311,24 @@ def _write_named_rows(path, header, rows):
 
 
 def cmd_bench(args):
-    manifest = _load_overlay(args.manifest)
+    manifest = _load_overlay(args.manifest, _KEYS["bench"])
     entries = manifest.get("datasets")
     if not isinstance(entries, list) or not all(isinstance(e, dict) and "path" in e
                                                 for e in entries):
         raise DataError(f"manifest {args.manifest} needs a \"datasets\" list of objects "
                         "that each give a \"path\"")
+    for i, entry in enumerate(entries):
+        _check_keys(entry, _DATA_KEYS, f"{args.manifest}: dataset {i}")
     models = _resolve(args, manifest, "models", VARIANTS, args.manifest)
     grid = _grid_spec(args, manifest, manifest.get("grid", {}), args.manifest)
+    _check_keys(manifest.get("grid", {}), _GRID_AXES, f"{args.manifest}: grid")
     for model in models:  # an unknown or repeated model fails before any dataset loads
         enumerate_configs(model, grid)
     check_model_names(models)
     datasets = [_load_dataset(None, entry, f"{args.manifest}: dataset {i}")
                 for i, entry in enumerate(entries)]
-    results = grid_searches([(ds, m) for ds in datasets for m in models], grid, args.jobs)
-    acc = np.reshape([r.best_mean for r in results], (len(datasets), len(models)))
+    results = grid_searches([(ds, models) for ds in datasets], grid, args.jobs)
+    acc = np.array([[r.best_mean for r in row] for row in results])
 
     dataset_names = [ds.name for ds in datasets]
     table = BenchmarkTable.from_accuracy(models, dataset_names, acc)

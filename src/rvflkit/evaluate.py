@@ -1,27 +1,31 @@
 """Cross-validation, exhaustive grid search, and benchmark-table assembly.
 
 ``cross_validate`` and ``grid_search`` run the same fold code: ``_FoldContext``
-caches one fold's ``weighting.kernel_scores`` (cp and the class geometry, the
-tau-free half of the weighting that ``train`` runs too) per kernel entry and
-center scheme, and keeps no l x l matrix between configs. It builds the class
-geometry only when some config it serves has tau < 1, the only Huber weights that
-read it. Its ``evaluate`` fits a group of configs with
+normalizes one fold and caches its ``weighting.kernel_scores`` (cp and the class
+geometries, the tau-free half of the weighting that ``train`` runs too) per kernel
+entry, and keeps no l x l matrix between configs. A kernel entry serves every
+robust variant, since cp does not depend on the center scheme; it builds the class
+geometry of a scheme only when some config of that scheme has tau < 1, the only
+Huber weights that read it. The context's ``evaluate`` fits a group of configs with
 ``model.forward``/``model.fit_output_weights``.
 The grid is a shared ridge path: per fold, configs with the same hidden-node
-count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``)
-and its activations, and each distinct weight vector r costs one Gram matrix and
-one factorization per ridge gamma. A weighting whose r repeats an earlier one's
-bytes (with delta at a quantile, cp ignores kernel gamma, and at tau = 1, r = cp)
-reuses its accuracies. Every cell still equals the fit of its config alone, bit
-for bit, so ``cross_validate(dataset, config, k, seed)`` reproduces the grid cell
-of ``config``.
+count share one random layer (seeded by ``fold_seed(seed, hidden_nodes, fold)``),
+whatever their variant, and one design matrix [X, H] per side, whose H block elm
+takes as a contiguous copy. Each distinct (direct link, weight vector r) costs one
+Gram matrix and one factorization per ridge gamma. A weighting whose r repeats an
+earlier one's bytes (with delta at a quantile, cp ignores kernel gamma; at tau = 1,
+r = cp for both robust variants) reuses its accuracies. Every cell still equals the
+fit of its config alone, bit for bit, so ``cross_validate(dataset, config, k,
+seed)`` reproduces the grid cell of ``config``.
 
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
-``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a grid and is
-each pool worker's entry point. ``grid_searches`` schedules the grids of ``grid``
-and ``bench`` by one rule: at ``jobs=N`` a grid of w = rows x configs goes out in
-min(ceil(N * w / total w), groups) chunks, its share of the work, mapped largest first
-over one ``worker_pool``; any N > 1 forks the pool, however small the grids.
+``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a data set's
+grids and is each pool worker's entry point. ``grid_searches`` schedules the grids
+of ``grid`` and ``bench`` by one rule: a data set's grids, one per model, are one
+unit of work, and at ``jobs=N`` a unit of w = rows x the configs of all its models
+goes out in min(ceil(N * w / total w), groups) chunks, its share of the work, mapped
+largest first over one ``worker_pool``; any N > 1 forks the pool, however small the
+grids.
 """
 
 from __future__ import annotations
@@ -106,9 +110,11 @@ def enumerate_configs(variant: str, grid: GridSpec) -> list[ModelConfig]:
 
 class _FoldContext:
     """One fold's normalized arrays plus the kernel cache its configs share; ``test``
-    marks the fold's test rows, and ``with_geometry`` whether any config has tau < 1."""
+    marks the fold's test rows, and ``schemes`` the center schemes whose class
+    geometry some config reads (one with tau < 1), by default both."""
 
-    def __init__(self, dataset: Dataset, test: np.ndarray, with_geometry: bool = True):
+    def __init__(self, dataset: Dataset, test: np.ndarray,
+                 schemes=tuple(CENTER_SCHEMES.values())):
         train = ~test
         norm = fit_normalization(dataset.features[train])
         self.X_tr = apply_normalization(dataset.features[train], norm)
@@ -116,44 +122,58 @@ class _FoldContext:
         self.y_tr = dataset.labels[train]
         self.y_te = dataset.labels[test]
         self.Y_tr = one_hot(self.y_tr, dataset.n_classes)
-        self.with_geometry = with_geometry
+        self.schemes = tuple(schemes)
         self._kernel_cache: dict = {}
 
-    def _kernel_entry(self, w: WeightingConfig, scheme: str):
-        """``kernel_scores`` (cp and the class geometry) for a weighting and a center
-        scheme; they do not depend on tau, so the key is the weighting at tau = 1."""
-        key = (replace(w, tau_multiplier=1.0), scheme)
+    def _kernel_entry(self, w: WeightingConfig):
+        """``kernel_scores`` (cp and the class geometries) of a weighting, for every
+        robust variant; they do not depend on tau, so the key is the weighting at tau = 1."""
+        key = replace(w, tau_multiplier=1.0)
         if key not in self._kernel_cache:
-            self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, scheme,
-                                                    self.with_geometry)
+            self._kernel_cache[key] = kernel_scores(self.X_tr, self.y_tr, w, self.schemes)
         return self._kernel_cache[key]
 
     def scores(self, config: ModelConfig) -> np.ndarray:
         """Scores r = cp * m of a robust config: its kernel entry, then the Huber weights
-        m of its tau."""
+        m of its tau against its variant's class geometry."""
         w = config.weighting
-        cp, geometry = self._kernel_entry(w, CENTER_SCHEMES[config.variant])
+        cp, geometries = self._kernel_entry(w)
+        geometry = geometries.get(CENTER_SCHEMES[config.variant])
         return contribution_scores(cp, huber_weights(self.y_tr, geometry, w.tau_multiplier)).r
 
+    def _designs(self, configs, seed: int) -> dict:
+        """The train and test design matrices of each direct link among ``configs``, from
+        one random layer drawn from ``seed`` and one [X, H] per side: without the direct
+        link (elm) the design is a contiguous copy of the H block, the bytes that
+        ``forward`` gives it."""
+        lead = next((c for c in configs if c.direct_link), configs[0])
+        layer = init_random_layer(self.X_tr.shape[1], lead.hidden_nodes, seed)
+        designs = {lead.direct_link: (forward(self.X_tr, layer, lead),
+                                      forward(self.X_te, layer, lead))}
+        if lead.direct_link and not all(c.direct_link for c in configs):
+            n = self.X_tr.shape[1]
+            designs[False] = tuple(np.ascontiguousarray(d[:, n:]) for d in designs[True])
+        return designs
+
     def evaluate(self, configs, seed: int) -> list[float]:
-        """Test accuracy of each config. The configs differ only in ridge gamma and
-        weighting, so they share the random layer drawn from ``seed`` and its
-        activations; configs with the same weighting share one Gram matrix, and a
-        weighting whose r and ridge gammas repeat an earlier one's bytes reuses its fit."""
-        first = configs[0]
-        layer = init_random_layer(self.X_tr.shape[1], first.hidden_nodes, seed)
-        design_tr = forward(self.X_tr, layer, first)
-        design_te = forward(self.X_te, layer, first)
-        by_weighting: dict = {}
+        """Test accuracy of each config. The configs differ only in variant, ridge gamma
+        and weighting, so they share the random layer drawn from ``seed`` and its
+        activations; configs of the same variant and weighting share one Gram matrix, and
+        a group whose direct link, r and ridge gammas repeat an earlier one's reuses its
+        fit, whatever the variant."""
+        designs = self._designs(configs, seed)
+        groups: dict = {}
         for i, config in enumerate(configs):
-            by_weighting.setdefault(config.weighting, []).append(i)
+            groups.setdefault((config.variant, config.weighting), []).append(i)
         accs = [0.0] * len(configs)
-        fitted: dict = {}  # (r bytes, ridge gammas) -> accuracies of the first such group
-        for idx in by_weighting.values():
-            r = self.scores(configs[idx[0]]) if first.robust else None
+        fitted: dict = {}  # (direct link, r bytes, ridge gammas) -> accuracies
+        for idx in groups.values():
+            config = configs[idx[0]]
+            r = self.scores(config) if config.robust else None
             gammas = tuple(configs[i].gamma for i in idx)
-            key = (None if r is None else r.tobytes(), gammas)
+            key = (config.direct_link, None if r is None else r.tobytes(), gammas)
             if key not in fitted:
+                design_tr, design_te = designs[config.direct_link]
                 W2s = fit_output_weights(design_tr, self.Y_tr, r, gammas)
                 fitted[key] = [accuracy(np.argmax(design_te @ W2, axis=1), self.y_te)
                                for W2 in W2s]
@@ -165,20 +185,21 @@ class _FoldContext:
 def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     """Per-fold accuracies (rows of NaN for skipped folds) and their means, one per config.
 
-    Configs must share the variant and activation. One fold is built and released
-    at a time.
+    Configs must share the activation; their variants may differ, and all of them are
+    fitted on one ``_FoldContext`` per fold. One fold is built and released at a time.
     """
     folds = stratified_k_fold(dataset, k, seed)
     by_hidden: dict = {}
     for i, config in enumerate(configs):
         by_hidden.setdefault(config.hidden_nodes, []).append(i)
-    with_geometry = any(c.robust and c.weighting.tau_multiplier < 1 for c in configs)
+    schemes = dict.fromkeys(CENTER_SCHEMES[c.variant] for c in configs
+                            if c.robust and c.weighting.tau_multiplier < 1)
     accs = np.full((len(configs), k), np.nan)
     for f in range(k):
         test = folds == f
         if np.unique(dataset.labels[~test]).size < dataset.n_classes:
             continue  # a class is absent from the training folds: the fold is skipped
-        ctx = _FoldContext(dataset, test, with_geometry)
+        ctx = _FoldContext(dataset, test, schemes)
         for hidden, idx in by_hidden.items():
             accs[idx, f] = ctx.evaluate([configs[i] for i in idx], fold_seed(seed, hidden, f))
     valid = [row[~np.isnan(row)] for row in accs]
@@ -187,17 +208,23 @@ def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     return accs, [float(v.mean()) for v in valid]
 
 
+def _unit_configs(variants, grid: GridSpec) -> list[ModelConfig]:
+    """The configs of one data set's grids: each variant's, in the order given."""
+    return [c for variant in variants for c in enumerate_configs(variant, grid)]
+
+
 @single_blas_thread()
-def _evaluate_chunk(dataset, variant, grid, indices):
-    configs = enumerate_configs(variant, grid)
+def _evaluate_chunk(dataset, variants, grid, indices):
+    configs = _unit_configs(variants, grid)
     accs, means = _fold_accuracies(dataset, [configs[ci] for ci in indices], grid.k, grid.seed)
     return list(zip(indices, means, accs))
 
 
 def _chunks(configs, n: int) -> list[list[int]]:
     """Config indices in up to ``n`` contiguous runs of whole groups. A group holds the
-    configs of one (weighting, hidden nodes), weighting-major, and shares a random layer
-    and a Gram matrix per fold; neighbouring groups share the fold's kernel cache."""
+    configs of one (weighting, hidden nodes), weighting-major, of every variant: they
+    share a random layer per fold, and at tau = 1 the robust variants share a Gram
+    matrix; neighbouring groups share the fold's kernel cache."""
     by_weighting: dict = {}
     for i, c in enumerate(configs):
         by_weighting.setdefault(c.weighting, {}).setdefault(c.hidden_nodes, []).append(i)
@@ -225,14 +252,16 @@ def worker_pool(jobs: int):
         yield pool.map
 
 
-def grid_searches(problems, grid: GridSpec, jobs: int = 1) -> list[GridSearchResult]:
-    """``grid_search`` of each (dataset, variant) pair in ``problems`` on one pool: a grid
-    of w = rows x configs in min(ceil(jobs * w / total w), groups) runs of whole groups,
-    and the runs of all grids largest first by rows x configs, ties in problem order."""
-    configs = [enumerate_configs(variant, grid) for _, variant in problems]
+def grid_searches(problems, grid: GridSpec, jobs: int = 1) -> list[list[GridSearchResult]]:
+    """``grid_search`` of each variant of each (dataset, distinct variants) pair in
+    ``problems``, on one pool. A data set's grids are one unit of w = rows x the configs
+    of all its variants, cut into min(ceil(jobs * w / total w), groups) runs of whole
+    groups that span the variants; the runs of all units go out largest first by rows x
+    configs, ties in problem order. Returns, per problem, one result per variant."""
+    configs = [_unit_configs(variants, grid) for _, variants in problems]
     work = [len(dataset.labels) * len(c) for (dataset, _), c in zip(problems, configs)]
-    tasks = [(p, indices) for p, problem_configs in enumerate(configs)
-             for indices in _chunks(problem_configs, -(-jobs * work[p] // sum(work)))]
+    tasks = [(p, indices) for p, unit in enumerate(configs) if unit
+             for indices in _chunks(unit, -(-jobs * work[p] // sum(work)))]
     tasks.sort(key=lambda t: -len(problems[t[0]][0].labels) * len(t[1]))
     traces = [[None] * len(c) for c in configs]
     with worker_pool(min(jobs, len(tasks))) as pool_map:
@@ -243,8 +272,9 @@ def grid_searches(problems, grid: GridSpec, jobs: int = 1) -> list[GridSearchRes
             for ci, mean, accs in chunk:
                 traces[p][ci] = (configs[p][ci], mean, accs)
     # max keeps the first of equal means: ties break to the earliest config
-    return [GridSearchResult(*max(trace, key=lambda row: row[1])[:2], tuple(trace))
-            for trace in traces]
+    return [[GridSearchResult(*max(t, key=lambda row: row[1])[:2], t)
+             for t in (tuple(row for row in trace if row[0].variant == v) for v in variants)]
+            for (_, variants), trace in zip(problems, traces)]
 
 
 def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
@@ -252,7 +282,7 @@ def grid_search(dataset: Dataset, variant: str, grid: GridSpec,
     """Exhaustive search; ties break to the earliest config in iteration order. With
     ``jobs`` > 1 the grid is split into up to ``jobs`` chunks, run on a pool of its own;
     results are independent of the worker count."""
-    return grid_searches([(dataset, variant)], grid, jobs)[0]
+    return grid_searches([(dataset, (variant,))], grid, jobs)[0][0]
 
 
 def check_model_names(model_names):

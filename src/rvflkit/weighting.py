@@ -15,16 +15,17 @@ the bytes that the rooted distances give.
 
 The pipeline splits once, at tau. ``kernel_scores`` does all the l x l work,
 none of which depends on tau (kernel and distance matrices, ``resolve_delta``,
-``class_probability``, the class geometry), and keeps only cp and the geometry.
-``huber_weights`` and ``contribution_scores`` then give r = cp * m for one tau.
-``train`` runs both halves through ``compute_contribution_scores``; the CV fold
-code caches ``kernel_scores`` per kernel entry and runs the second half per
-config.
+``class_probability``, the class geometry of each center scheme asked for), and
+keeps only cp and the geometries. cp does not depend on the scheme either, so
+R2VFL-A and R2VFL-M share one call. ``huber_weights`` and
+``contribution_scores`` then give r = cp * m for one tau. ``train`` runs both
+halves through ``compute_contribution_scores``; the CV fold code caches
+``kernel_scores`` per kernel entry and runs the second half per config.
 
 Only a tau below 1 reads the class geometry. A class radius is its largest member
 distance, so at tau = 1 no member lies beyond it and every Huber weight is 1:
 ``huber_weights`` returns ones there, and ``kernel_scores`` builds the geometry
-only when asked to, for a fit with some tau < 1.
+of a scheme only when asked to, for a fit of that scheme with some tau < 1.
 """
 
 from __future__ import annotations
@@ -207,7 +208,11 @@ def _pair_sample(dist: np.ndarray, size: int) -> np.ndarray:
     i = rng.integers(0, l, size)
     j = rng.integers(0, l - 1, size)
     j += j >= i
-    return np.sort(dist[np.minimum(i, j), np.maximum(i, j)])
+    # one gather at the flat indices min * l + max of the C-ordered matrix
+    flat = np.minimum(i, j)
+    flat *= l
+    flat += np.maximum(i, j)
+    return np.sort(dist.take(flat))
 
 
 def _bracketed_order_statistics(dist: np.ndarray, ranks):
@@ -337,24 +342,26 @@ def contribution_scores(cp, m) -> ContributionScores:
     return ContributionScores(cp, m, cp * m)
 
 
-def kernel_scores(features, labels, config: WeightingConfig, scheme: str,
-                  with_geometry: bool) -> tuple[np.ndarray, ClassGeometry | None]:
-    """cp and the class geometry on normalized training features: the part of the
-    weighting that does not depend on tau. The geometry, which only a tau below 1
-    reads, is None unless ``with_geometry`` is set. One l x l array is held at a time,
-    and freed on return: the distances overwrite K, so the class geometry must read K
-    first."""
-    _check_scheme(scheme)
+def kernel_scores(features, labels, config: WeightingConfig,
+                  schemes) -> tuple[np.ndarray, dict[str, ClassGeometry]]:
+    """cp, and the class geometry of each center scheme in ``schemes``, on normalized
+    training features: the part of the weighting that does not depend on tau. Only a
+    tau below 1 reads a geometry, so a fit at tau = 1 passes no scheme. One l x l
+    array is held at a time, and freed on return: the distances overwrite K, so every
+    geometry reads K first."""
     K = kernel_matrix(features, config)
-    geometry = build_class_geometry(labels, K, scheme) if with_geometry else None
+    geometries = {scheme: build_class_geometry(labels, K, scheme) for scheme in schemes}
     sq = feature_space_distance_matrix(K)
     cp = class_probability(labels, resolve_delta(sq, config), sq)
-    return cp, geometry
+    return cp, geometries
 
 
 def compute_contribution_scores(features, labels, config: WeightingConfig,
                                 scheme: str) -> ContributionScores:
     """Full weighting pipeline on normalized training features; the class geometry is
     built only for a tau below 1."""
-    cp, geometry = kernel_scores(features, labels, config, scheme, config.tau_multiplier < 1)
-    return contribution_scores(cp, huber_weights(labels, geometry, config.tau_multiplier))
+    _check_scheme(scheme)
+    cp, geometries = kernel_scores(features, labels, config,
+                                   (scheme,) if config.tau_multiplier < 1 else ())
+    return contribution_scores(cp, huber_weights(labels, geometries.get(scheme),
+                                                 config.tau_multiplier))

@@ -1,5 +1,7 @@
 import ctypes
+import dataclasses
 import glob
+import hashlib
 import os
 import threading
 
@@ -62,6 +64,17 @@ def read_through_pipe(text, read):
     finally:
         os.close(r)
         writer.join(timeout=10)
+
+
+def trace_sha256(trace) -> str:
+    """README "Reproducibility"'s hash of a grid trace: the sha256 over each row in order
+    of ``repr(dataclasses.astuple(config))``, ``repr(mean)`` and the fold accuracies' bytes."""
+    digest = hashlib.sha256()
+    for config, mean, accs in trace:
+        digest.update(repr(dataclasses.astuple(config)).encode())
+        digest.update(repr(mean).encode())
+        digest.update(accs.tobytes())
+    return digest.hexdigest()
 
 
 def fit_with_unit_scores(ds, config):

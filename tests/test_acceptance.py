@@ -6,9 +6,7 @@ Each test covers one numbered release criterion. Results are collected in
 """
 
 import csv
-import dataclasses
 import functools
-import hashlib
 import time
 from importlib import resources
 
@@ -23,7 +21,7 @@ from rvflkit.stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilco
 from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     compute_contribution_scores, kernel_matrix
 from rvflkit.cli import main as cli_main
-from conftest import fit_with_unit_scores, gaussian_blobs
+from conftest import fit_with_unit_scores, gaussian_blobs, trace_sha256
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 R2VFL_M_TRACE_SHA256 = "c4122c2179ae1a19e76a844b31e04b20bfafd8eee2e19e45be010f33634f1cbb"
@@ -218,12 +216,7 @@ def test_criterion_8_tic_tac_toe():
     # the bytes of the OpenBLAS builds bundled with numpy 2.4.6 (0.3.31) and scipy 1.17.1
     # (0.3.30), run with their SkylakeX kernels: another BLAS build or CPU may change it
     # with no change to rvflkit
-    digest = hashlib.sha256()
-    for config, mean, accs in result.trace:
-        digest.update(repr(dataclasses.astuple(config)).encode())
-        digest.update(repr(mean).encode())
-        digest.update(accs.tobytes())
-    assert digest.hexdigest() == R2VFL_M_TRACE_SHA256
+    assert trace_sha256(result.trace) == R2VFL_M_TRACE_SHA256
 
 
 @_announce(9, "grid search traces are byte-identical across job counts")

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -11,21 +12,24 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rvflkit
 import rvflkit.model
+import rvflkit.solver
+import rvflkit.weighting
 from rvflkit import cli, evaluate
 from rvflkit.cli import SETTING_TYPES, main
-from rvflkit.data import DataError
-from rvflkit.evaluate import GridSpec
-from rvflkit.model import MODEL_MAGIC, ModelConfig
+from rvflkit.data import DataError, Dataset, stratified_k_fold
+from rvflkit.evaluate import GridSpec, enumerate_configs
+from rvflkit.model import CENTER_SCHEMES, MODEL_MAGIC, VARIANTS, ModelConfig
 from rvflkit.weighting import WeightingConfig
-from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe
+from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe, trace_sha256
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 
@@ -219,7 +223,7 @@ class TestGrid:
 _evaluate_chunk = evaluate._evaluate_chunk
 
 
-def _failing_or_slow_chunk(log, dataset, variant, grid, indices):
+def _failing_or_slow_chunk(log, dataset, variants, grid, indices):
     """A stand-in for ``_evaluate_chunk`` in bench's workers: fails on the set named "bad",
     else logs the set and takes a while."""
     if dataset.name == "bad":
@@ -227,14 +231,64 @@ def _failing_or_slow_chunk(log, dataset, variant, grid, indices):
     with open(log, "a") as fh:
         fh.write(dataset.name + "\n")
     time.sleep(0.3)
-    return _evaluate_chunk(dataset, variant, grid, indices)
+    return _evaluate_chunk(dataset, variants, grid, indices)
 
 
-def _logged_chunk(log, dataset, variant, grid, indices):
+def _logged_chunk(log, dataset, variants, grid, indices):
     """A stand-in for ``_evaluate_chunk`` in bench's workers: logs the set of each chunk."""
     with open(log, "a") as fh:
         fh.write(dataset.name + "\n")
-    return _evaluate_chunk(dataset, variant, grid, indices)
+    return _evaluate_chunk(dataset, variants, grid, indices)
+
+
+def _variants_logged_chunk(log, dataset, variants, grid, indices):
+    """A stand-in for ``_evaluate_chunk`` in bench's workers: logs the variants of each
+    chunk's configs."""
+    configs = evaluate._unit_configs(variants, grid)
+    with open(log, "a") as fh:
+        fh.write(" ".join(dict.fromkeys(configs[i].variant for i in indices)) + "\n")
+    return _evaluate_chunk(dataset, variants, grid, indices)
+
+
+def _write_dataset(path, ds):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                 for x, y in zip(ds.features, ds.labels))
+
+
+def pinned_manifest(tmp_path):
+    """Two sets, all four models, two kernel gammas and tau in {0.5, 1}. At k = 3 the
+    18-row set trains on 12 rows, fewer than 23 hidden nodes plus 3 features, so its
+    23-node cells take the dual solve; the 60-row set has three classes."""
+    _write_dataset(tmp_path / "small.csv",
+                   gaussian_blobs(9, seed=7, n_features=3, flip_fraction=0.1))
+    rng = np.random.default_rng(8)
+    y = np.arange(60) % 3
+    _write_dataset(tmp_path / "noisy.csv", Dataset(rng.normal(size=(60, 4)) + 1.5 * np.eye(3, 4)[y],
+                                                   y, ("a", "b", "c")))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "datasets": [{"path": str(tmp_path / "small.csv"), "name": "small"},
+                     {"path": str(tmp_path / "noisy.csv"), "name": "noisy"}],
+        "models": ["rvfl", "elm", "r2vfl-a", "r2vfl-m"], "k": 3, "seed": 2,
+        "grid": {"gamma_grid": [0.01, 1.0, 100.0], "hidden_grid": [3, 23],
+                 "kernel_grid": [0.25, 4.0], "tau_grid": [0.5, 1.0]}}))
+    return manifest
+
+
+# pinned_manifest's tables and the traces of its (dataset, model) grids, in manifest
+# order, as bench wrote them when it ran each (dataset, model) grid on its own. Like
+# tests/golden/, they pin the bytes of the bundled OpenBLAS builds.
+PINNED_TABLES = ("48deb3e66ecb8fbb758c91283856f98aeb2ae1624857dc15e7c7a4ea2578c6b3",
+                 "3377744ddf0391a94ca6c9e6b0dd0e47c84f6bfe59c547d137c4ee5edf6712c8")
+PINNED_TRACES = ("8c9689dc2031cab12d34064d6ceb8fb3d9ffa9ad4a43a05984346d9de7d806f9",
+                 "f0197ee7ba040a4b315f3acbdc1e2d25ff08c58f18f256878b565bcd0da317a8",
+                 "7ba52fef6e5e32466c605a20882457190e1da3500aa6ebf874fd5ba84c25ff10",
+                 "d6c38a124dc4d6bb6f84b78676ef87e33cd4d98dd8464a9018a20c309863e04d",
+                 "a001314251cd2bfac14dec8e09585cea2e36b3b4898cc21c972aba55cf200e2c",
+                 "f8397b1a9de1865760659a998dacc980d7e9fe6108d2f983abe534aae8208c90",
+                 "96ae652a6fad895237760cc244a99d630858371db8b715687f088e6b21e06806",
+                 "e6366a7deda844d3edb58b408e8de7b846db325a0626121be36ec1a60cc05525")
 
 
 class TestBench:
@@ -261,19 +315,21 @@ class TestBench:
         for r in rank_rows[1:]:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
 
-    def bench_manifest(self, tmp_path, second):
-        """Two datasets and two models, rvfl and r2vfl-m: four (dataset, model) grids."""
+    def bench_manifest(self, tmp_path, second, models=("rvfl", "r2vfl-m")):
+        """Two datasets, 30 and 24 rows in the tests below, each one unit of work: the
+        grids of ``models``. rvfl's grid holds two groups of configs, one per hidden
+        count, and each robust grid four, one per (weighting, hidden count); the robust
+        variants share their groups, and rvfl and elm theirs."""
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
-            "datasets": [{"path": str(tmp_path / "first.csv")}, {"path": str(second)}],
-            "models": ["rvfl", "r2vfl-m"], "k": 2, "seed": 0,
+            "datasets": [{"path": str(tmp_path / "first.csv"), "name": "first"},
+                         {"path": str(second), "name": Path(second).stem}],
+            "models": list(models), "k": 2, "seed": 0,
             "grid": {"gamma_grid": [0.1, 10.0], "hidden_grid": [3, 9],
                      "kernel_grid": [1.0], "tau_grid": [0.75, 1.0]},
         }))
-        ds = gaussian_blobs(15, seed=2, separation=2.0, flip_fraction=0.1)
-        with open(tmp_path / "first.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
-                                     for x, y in zip(ds.features, ds.labels))
+        _write_dataset(tmp_path / "first.csv",
+                       gaussian_blobs(15, seed=2, separation=2.0, flip_fraction=0.1))
         return manifest
 
     @pytest.fixture
@@ -301,21 +357,23 @@ class TestBench:
         tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
                   for jobs in ("1", "2")]
         assert tables[0] == tables[1]
-        assert pool_sizes == [2]  # one pool for all four grids
+        assert pool_sizes == [2]  # one pool for both data sets
 
     def test_pool_capped_at_most_chunks_of_any_grid(self, toy_csv, tmp_path, capsys,
                                                     pool_sizes):
-        # two datasets x two models at --jobs 64: each grid is cut into all its groups,
-        # two for rvfl and four for r2vfl-m, so the pool has 2 x (2 + 4) = 12 chunks
-        manifest = self.bench_manifest(tmp_path, toy_csv)
+        # two datasets x four models at --jobs 64: each data set's unit is cut into all
+        # its groups, which span the models: two that rvfl and elm share and four that
+        # r2vfl-a and r2vfl-m share, so the pool has 2 x (2 + 4) = 12 chunks, where
+        # (dataset, model) grids of their own would make 2 x (2 + 2 + 4 + 4) = 24
+        manifest = self.bench_manifest(tmp_path, toy_csv, models=VARIANTS)
         tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
                   for jobs in ("1", "64")]
         assert tables[0] == tables[1]
         assert pool_sizes == [12]
 
     def test_pool_capped_at_task_count(self, toy_csv, tmp_path, capsys, pool_sizes):
-        # one dataset x two models at --jobs 64: 2 + 4 groups make six tasks
-        manifest = self.bench_manifest(tmp_path, toy_csv)
+        # one dataset x four models at --jobs 64: 2 + 4 groups make six tasks
+        manifest = self.bench_manifest(tmp_path, toy_csv, models=VARIANTS)
         settings = json.loads(manifest.read_text())
         settings["datasets"] = settings["datasets"][:1]
         manifest.write_text(json.dumps(settings))
@@ -324,46 +382,63 @@ class TestBench:
         assert tables[0] == tables[1]
         assert pool_sizes == [6]
 
-    def test_one_grid_is_split_over_the_jobs(self, toy_csv, tmp_path, capsys, pool_sizes):
-        # one (dataset, model) grid of four groups at --jobs 2: two chunks on two workers
+    def test_one_grid_is_split_over_the_jobs(self, toy_csv, tmp_path, capsys, monkeypatch,
+                                             pool_sizes):
+        # one data set's unit of two models, six groups, at --jobs 2: two chunks of three
+        # groups on two workers, the first holding rvfl's two groups and one of r2vfl-m
         manifest = self.bench_manifest(tmp_path, toy_csv)
         settings = json.loads(manifest.read_text())
-        settings["datasets"], settings["models"] = settings["datasets"][:1], ["r2vfl-m"]
+        settings["datasets"] = settings["datasets"][:1]
         manifest.write_text(json.dumps(settings))
-        tables = [self.bench_tables(capsys, manifest, tmp_path / f"jobs{jobs}", jobs)
-                  for jobs in ("1", "2")]
-        assert tables[0] == tables[1]
+        serial = self.bench_tables(capsys, manifest, tmp_path / "jobs1", "1")
+        log = tmp_path / "chunks.log"
+        monkeypatch.setattr(evaluate, "_evaluate_chunk",
+                            functools.partial(_variants_logged_chunk, log))
+        assert self.bench_tables(capsys, manifest, tmp_path / "jobs2", "2") == serial
+        assert Counter(log.read_text().splitlines()) == {"rvfl r2vfl-m": 1, "r2vfl-m": 1}
         assert pool_sizes == [2]
 
     def test_grids_go_out_largest_first(self, toy_csv, tmp_path, capsys, monkeypatch):
-        # rows x configs: 30 x 16, 24 x 16, 30 x 4, 24 x 4
+        # rows x configs of the units, one chunk each at --jobs 1: toy 24 x 12, first
+        # 30 x 12, toy_again 24 x 12; the tie keeps manifest order
         manifest = self.bench_manifest(tmp_path, toy_csv)
+        settings = json.loads(manifest.read_text())
+        settings["datasets"] = [settings["datasets"][1], settings["datasets"][0],
+                                {**settings["datasets"][1], "name": "toy_again"}]
+        manifest.write_text(json.dumps(settings))
         order = []
 
-        def recorded(dataset, variant, grid, indices):
-            order.append((Path(dataset.name).stem, variant))
-            return _evaluate_chunk(dataset, variant, grid, indices)
+        def recorded(dataset, variants, grid, indices):
+            order.append((dataset.name, variants, len(indices)))
+            return _evaluate_chunk(dataset, variants, grid, indices)
 
         monkeypatch.setattr(evaluate, "_evaluate_chunk", recorded)
         code, _ = run(capsys, "bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
         assert code == 0
-        assert order == [("first", "r2vfl-m"), ("toy", "r2vfl-m"), ("first", "rvfl"),
-                         ("toy", "rvfl")]
+        models = ("rvfl", "r2vfl-m")
+        assert order == [("first", models, 12), ("toy", models, 12), ("toy_again", models, 12)]
+        # the configs weigh in too: rvfl on 30 rows x 4 configs goes out after r2vfl-m on
+        # 24 rows x 8, where an order by rows alone would send it first
+        order.clear()
+        grid = GridSpec(gamma_grid=(0.1, 10.0), hidden_grid=(3, 9), kernel_grid=(1.0,),
+                        tau_grid=(0.75, 1.0), k=2)
+        first = replace(gaussian_blobs(15, seed=2), name="first")
+        toy = replace(gaussian_blobs(12, seed=3), name="toy")
+        evaluate.grid_searches([(first, ("rvfl",)), (toy, ("r2vfl-m",))], grid)
+        assert order == [("toy", ("r2vfl-m",), 8), ("first", ("rvfl",), 4)]
 
     def test_grid_holding_most_of_the_work_is_split(self, tmp_path, capsys, monkeypatch,
                                                     pool_sizes):
-        # two r2vfl-m grids of four groups at --jobs 2, rows x configs 80 x 8 and 16 x 8:
-        # the large grid is 5/6 of the work and gets two chunks, the small one one
+        # two units of rvfl and r2vfl-m, six groups each, at --jobs 2, rows x configs
+        # 80 x 12 and 16 x 12: the large set is 5/6 of the work and gets two chunks, the
+        # small one one
         entries = []
         for name, n in (("large", 40), ("small", 8)):
-            ds = gaussian_blobs(n, seed=4, flip_fraction=0.1)
-            with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
-                csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
-                                         for x, y in zip(ds.features, ds.labels))
+            _write_dataset(tmp_path / f"{name}.csv", gaussian_blobs(n, seed=4, flip_fraction=0.1))
             entries.append({"path": str(tmp_path / f"{name}.csv"), "name": name})
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
-            "datasets": entries, "models": ["r2vfl-m"], "k": 2, "seed": 0,
+            "datasets": entries, "models": ["rvfl", "r2vfl-m"], "k": 2, "seed": 0,
             "grid": {"gamma_grid": [0.1, 10.0], "hidden_grid": [3, 9],
                      "kernel_grid": [1.0], "tau_grid": [0.75, 1.0]}}))
         serial = self.bench_tables(capsys, manifest, tmp_path / "jobs1", "1")
@@ -372,6 +447,73 @@ class TestBench:
         assert self.bench_tables(capsys, manifest, tmp_path / "jobs2", "2") == serial
         assert Counter(log.read_text().splitlines()) == {"large": 2, "small": 1}
         assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_tables_and_traces_keep_their_bytes(self, tmp_path, capsys, monkeypatch, jobs):
+        # at --jobs 2 and 3 the 60-row set's unit is cut into two and three chunks
+        results = []
+        real = cli.grid_searches
+
+        def recorded(*args):
+            results.extend(real(*args))
+            return results
+
+        monkeypatch.setattr(cli, "grid_searches", recorded)
+        tables = self.bench_tables(capsys, pinned_manifest(tmp_path), tmp_path / "b", jobs)
+        assert tuple(hashlib.sha256(t).hexdigest() for t in tables) == PINNED_TABLES
+        assert tuple(trace_sha256(r.trace) for row in results for r in row) == PINNED_TRACES
+
+    def test_one_fold_context_serves_every_model(self, tmp_path, capsys, monkeypatch):
+        manifest = pinned_manifest(tmp_path)
+        settings = json.loads(manifest.read_text())
+        grid = GridSpec(**{key: tuple(v) for key, v in settings["grid"].items()},
+                        k=settings["k"], seed=settings["seed"])
+        sets = [cli.load_csv(entry["path"]) for entry in settings["datasets"]]
+        robust = enumerate_configs("r2vfl-a", grid) + enumerate_configs("r2vfl-m", grid)
+        # the scores r of each (set, fold), read byte for byte from fold contexts of their own
+        scores = []
+        for ds in sets:
+            folds = stratified_k_fold(ds, grid.k, grid.seed)
+            for f in range(grid.k):
+                ctx = evaluate._FoldContext(ds, folds == f)
+                scores.append({c: ctx.scores(c).tobytes() for c in robust})
+        calls = Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # each function is counted where its caller looks it up
+        for module, name in ((rvflkit.weighting, "kernel_matrix"),
+                             (rvflkit.weighting, "build_class_geometry"),
+                             (rvflkit.model, "hidden_matrix"), (evaluate, "init_random_layer"),
+                             (rvflkit.solver, "solve_primal"), (rvflkit.solver, "solve_dual")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        self.bench_tables(capsys, manifest, tmp_path / "b", "1")
+        folds, hidden = len(sets) * grid.k, len(grid.hidden_grid)
+        # one kernel entry per (set, fold, kernel gamma) serves r2vfl-a and r2vfl-m, and
+        # builds both class geometries
+        assert calls["kernel_matrix"] == folds * len(grid.kernel_grid)
+        assert calls["build_class_geometry"] == 2 * folds * len(grid.kernel_grid)
+        # one layer per (set, fold, hidden count), projected once per side for all four
+        assert calls["init_random_layer"] == folds * hidden
+        assert calls["hidden_matrix"] == 2 * folds * hidden
+        # one Gram matrix per (set, fold, hidden count) for rvfl, one for elm, and one per
+        # distinct r of the robust configs: at tau = 1, r = cp, which both robust variants
+        # share, so their tau = 1 cells take one Gram matrix per kernel gamma at most
+        for fold_scores in scores:
+            at_tau_1 = [{r for c, r in fold_scores.items()
+                         if c.variant == variant and c.weighting.tau_multiplier == 1}
+                        for variant in CENTER_SCHEMES]
+            assert at_tau_1[0] == at_tau_1[1] and len(at_tau_1[0]) <= len(grid.kernel_grid)
+        grams = hidden * sum(2 + len(set(s.values())) for s in scores)
+        per_model = hidden * sum(2 + sum(len({r for c, r in s.items() if c.variant == variant})
+                                         for variant in CENTER_SCHEMES) for s in scores)
+        assert grams < per_model
+        assert calls["solve_primal"] + calls["solve_dual"] == grams
+        assert calls["solve_primal"] > 0 and calls["solve_dual"] > 0
 
     def test_unknown_model_fails_before_any_dataset_or_grid(self, toy_csv, tmp_path, capsys,
                                                             monkeypatch):
@@ -666,7 +808,8 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
     assert err.startswith("usage error: " if code == 1 else "error: ")
     # the message names what is wrong
     assert {"grid_entry_not_a_list": '"gamma_grid"', "grid_entry_not_numeric": '"hidden_grid"',
-            "grid_hidden_not_integer": "hidden_nodes",
+            "grid_hidden_not_integer": 'float_hidden.json: "hidden_grid" must be a list of '
+                                       'integers, got [3.5]',
             "bench_grid_entry_not_a_list": '"gamma_grid"', "bench_grid_not_an_object": "grid",
             "short_rank_row_nemenyi": "rank row", "short_rank_row_friedman": "rank row",
             "ragged_table_row": "'d2'", "cv_hidden_fraction": '"hidden"', "cv_k_fraction": '"k"',
@@ -707,11 +850,13 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
 
 # One JSON value of each kind, and the kinds of setting that each one satisfies.
 JSON_VALUES = {"null": None, "boolean": True, "integer": 2, "fraction": 0.5, "string": "x",
-               "list_of_numbers": [2], "list_of_strings": ["x"], "object": {}}
+               "list_of_numbers": [2], "list_of_fractions": [2.5], "list_of_strings": ["x"],
+               "object": {}}
 VALID_VALUES = {"an integer": {"integer"}, "a number": {"integer", "fraction"},
                 "a string": {"string"}, "true or false": {"boolean"},
-                '"last" or an integer': {"integer"}, "a list of numbers": {"list_of_numbers"},
-                "a list of strings": {"list_of_strings"}}
+                '"last" or an integer': {"integer"},
+                "a list of numbers": {"list_of_numbers", "list_of_fractions"},
+                "a list of integers": {"list_of_numbers"}, "a list of strings": {"list_of_strings"}}
 # The JSON keys that each command reads where no flag of the command line below gives them.
 JSON_KEYS = {
     "cv": ("variant", "hidden", "gamma", "activation", "seed", "kernel_gamma", "tau",
@@ -751,6 +896,39 @@ def test_json_setting_of_a_wrong_kind_is_one_line_error(tmp_path, capsys, toy_cs
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f'"{key}" must be {SETTING_TYPES[key]}' in err
+
+
+@pytest.mark.parametrize("command, place, key", [
+    ("train", "config", "hiden"), ("train", "config", "k"), ("cv", "config", "kernel_gama"),
+    ("grid", "grid_file", "hidden_grd"), ("grid", "grid_file", "variant"),
+    ("bench", "grid", "k"), ("bench", "grid", "seed"), ("bench", "manifest", "hidden_grid"),
+    ("bench", "manifest", "model"), ("bench", "dataset", "label")])
+def test_json_key_that_nothing_reads_is_one_line_error(tmp_path, capsys, toy_csv, command,
+                                                       place, key):
+    # each key would leave a setting at its default: "hiden" trains 103 nodes, a "k"
+    # in a manifest's grid object runs 5 folds, "hidden_grd" runs the default grid
+    settings = tmp_path / "settings.json"
+    where = str(settings)
+    if command in ("train", "cv"):
+        settings.write_text(json.dumps({"variant": "r2vfl-m", key: 2}))
+        argv = [command, "--data", str(toy_csv), "--config", str(settings)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.bin")]
+    elif command == "grid":
+        settings.write_text(json.dumps({"k": 2, key: [3]}))
+        argv = ["grid", "--data", str(toy_csv), "--variant", "rvfl", "--grid-file", str(settings)]
+    else:
+        manifest = {"datasets": [{"path": str(toy_csv)}], "models": ["rvfl"], "k": 2,
+                    "grid": {"gamma_grid": [1.0]}}
+        target = {"manifest": manifest, "grid": manifest["grid"],
+                  "dataset": manifest["datasets"][0]}[place]
+        target[key] = 2
+        where += {"manifest": "", "grid": ": grid", "dataset": ": dataset 0"}[place]
+        settings.write_text(json.dumps(manifest))
+        argv = ["bench", "--manifest", str(settings), "--out", str(tmp_path / "b")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f'error: {where}: unknown key "{key}"\n'
+    assert not (tmp_path / "m.bin").exists() and not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array with shape "
@@ -884,7 +1062,8 @@ def test_train_with_only_a_variant_writes_the_dataclass_defaults(toy_csv, tmp_pa
 def test_readme_json_settings_name_every_setting():
     # README's "JSON settings" list names every key that SETTING_TYPES gives a kind
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\nJSON settings ", 1)[1].split("Unknown keys are ignored", 1)[0]
+    block = readme.split("\nJSON settings ", 1)[1]
+    block = block.split("A key that the command does not read", 1)[0]
     assert set(SETTING_TYPES) <= set(re.findall(r"`(\w+)`", block))
 
 

@@ -12,8 +12,8 @@ import rvflkit.weighting
 from rvflkit.data import Dataset, apply_normalization, fit_normalization, one_hot, \
     stratified_k_fold
 from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate, \
-    enumerate_configs, fold_seed, grid_search, worker_pool
-from rvflkit.model import CENTER_SCHEMES, ModelConfig, fit_output_weights, forward, \
+    enumerate_configs, fold_seed, grid_search, grid_searches, worker_pool
+from rvflkit.model import CENTER_SCHEMES, VARIANTS, ModelConfig, fit_output_weights, forward, \
     init_random_layer, predict_scores, train
 from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     class_probability, feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
@@ -214,6 +214,25 @@ class TestSharedRidgePath:
         grid = GridSpec(gamma_grid=(1e-2, 1.0, 1e4), hidden_grid=(2, 13), kernel_grid=(1.0,),
                         tau_grid=(0.5, 1.0), k=2, seed=3)
         self.assert_cells_match_oracle(ds, variant, grid, jobs=2)
+
+    @pytest.mark.parametrize("n_samples", [16, 30])
+    def test_cells_of_a_data_sets_grids_equal_per_config_fits(self, rng, n_samples):
+        # all four variants of one data set share each fold's context: one layer and one
+        # [X, H] per (fold, hidden count), elm taking a copy of H, and one kernel entry per
+        # (fold, kernel gamma); at 16 rows, 13 hidden nodes plus 3 features exceed the 8
+        # training rows (dual solve)
+        ds = random_dataset(rng, n_samples=n_samples, n_features=3, n_classes=2)
+        grid = GridSpec(gamma_grid=(1e-2, 1.0, 1e4), hidden_grid=(2, 13),
+                        kernel_grid=(0.5, 2.0), tau_grid=(0.5, 1.0), k=2, seed=3)
+        for jobs in (1, 3):
+            (results,) = grid_searches([(ds, VARIANTS)], grid, jobs)
+            for variant, res in zip(VARIANTS, results):
+                assert [config for config, _, _ in res.trace] == enumerate_configs(variant, grid)
+                for config, mean, accs in res.trace:
+                    expected = per_config_fold_accuracies(ds, config, grid.k, grid.seed)
+                    np.testing.assert_array_equal(accs, expected)
+                    assert mean == np.mean(expected[~np.isnan(expected)])
+                assert res.best_mean == max(mean for _, mean, _ in res.trace)
 
     def test_one_layer_per_hidden_count_one_gram_per_weighting(self, rng, monkeypatch):
         ds = random_dataset(rng, n_samples=30, n_features=3, n_classes=2)

@@ -202,6 +202,18 @@ class TestResolveDelta:
         found = weighting._bracketed_order_statistics(dist, ranks)
         np.testing.assert_array_equal(found, np.sort(dist[np.triu_indices(l, 1)])[ranks])
 
+    @pytest.mark.parametrize("l", [2, 3, 500])
+    def test_pair_sample_gathers_the_pairs_it_draws(self, rng, l):
+        # one flat take at min * l + max gives the entries that indexing by the pair
+        # (min, max) gives, from the same fixed-seed draws
+        dist = rng.random((l, l))
+        draws = np.random.default_rng(0)
+        i = draws.integers(0, l, 1000)
+        j = draws.integers(0, l - 1, 1000)
+        j += j >= i
+        expected = np.sort(dist[np.minimum(i, j), np.maximum(i, j)])
+        assert weighting._pair_sample(dist, 1000).tobytes() == expected.tobytes()
+
     def test_bracket_miss_falls_back_to_every_pair(self, rng, monkeypatch):
         # a sample of the largest entry brackets nothing below it
         monkeypatch.setattr(weighting, "_pair_sample", lambda dist, size: np.full(size, dist.max()))
@@ -328,7 +340,7 @@ class TestSquaredDistancesMatchTheReference:
         delta = resolve_delta(sq, config)
         assert np.float64(delta).tobytes() == expected_delta.tobytes()
         assert class_probability(labels, delta, sq).tobytes() == expected_cp.tobytes()
-        cp, _ = kernel_scores(X, labels, config, "median", False)
+        cp, _ = kernel_scores(X, labels, config, ())
         assert cp.tobytes() == expected_cp.tobytes()
 
     @pytest.mark.parametrize("gamma", [2.0 ** -5, 1.0, 2.0 ** 5])
@@ -357,10 +369,38 @@ def test_kernel_scores_peak_memory(rng, l, scheme, with_geometry):
     # add at most 0.6 of that, and cp's buffers stay at a few rows of l
     X = rng.random((l, 9))
     labels = np.arange(l) % 2
+    schemes = (scheme,) if with_geometry else ()
+    assert kernel_scores_peak(X, labels, schemes) <= 1.6 * 8 * l * l + 1e6
+
+
+def kernel_scores_peak(X, labels, schemes):
+    """Bytes that ``kernel_scores`` holds at its peak, by tracemalloc."""
     tracemalloc.start()
     try:
-        kernel_scores(X, labels, W1, scheme, with_geometry)
+        kernel_scores(X, labels, W1, schemes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 8 * l * l + 1e6
+    return peak
+
+
+@pytest.mark.parametrize("l", [600, 1200])
+def test_both_geometries_hold_no_more_than_one(rng, l):
+    # the geometries are built one after the other from the same K, so asking for both
+    # schemes peaks where the costlier one alone does
+    X = rng.random((l, 9))
+    labels = np.arange(l) % 2
+    alone = max(kernel_scores_peak(X, labels, (scheme,)) for scheme in ("average", "median"))
+    assert kernel_scores_peak(X, labels, ("average", "median")) <= alone + 1e5
+
+
+def test_one_call_gives_every_scheme_the_geometry_of_its_own_call(rng):
+    ds = random_dataset(rng, n_samples=40, n_features=3, n_classes=3)
+    cp, both = kernel_scores(ds.features, ds.labels, W1, ("average", "median"))
+    for scheme in ("average", "median"):
+        cp_alone, alone = kernel_scores(ds.features, ds.labels, W1, (scheme,))
+        assert cp.tobytes() == cp_alone.tobytes()
+        assert both[scheme].radii.tobytes() == alone[scheme].radii.tobytes()
+        assert both[scheme].distances.tobytes() == alone[scheme].distances.tobytes()
+    cp_none, none = kernel_scores(ds.features, ds.labels, W1, ())
+    assert none == {} and cp_none.tobytes() == cp.tobytes()
