@@ -21,7 +21,7 @@ from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, check_m
     cross_validate, enumerate_configs, grid_search, grid_searches
 from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
     save_model, train
-from .solver import SolverError
+from .solver import SolverError, set_one_blas_thread
 from .stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
 from .weighting import WeightingConfig
 
@@ -52,8 +52,11 @@ def _load_overlay(path, keys):
     """The JSON object in ``path`` ({} for None), whose keys must be among ``keys``."""
     if path is None:
         return {}
-    with open(path) as fh:
-        overlay = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            overlay = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise DataError(f"{path}: not UTF-8 JSON: {exc}") from None
     if not isinstance(overlay, dict):
         raise DataError(f"{path} must hold a JSON object")
     _check_keys(overlay, keys, path)
@@ -518,6 +521,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # every command does its BLAS work on one thread; set once and kept, the count
+    # needs no set call after the fork of a worker pool (see rvflkit.solver)
+    set_one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -525,7 +531,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:  # rvflkit's input errors and JSON's are ValueErrors
+    except (ValueError, OSError) as exc:  # rvflkit's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy's says which array it could not allocate

@@ -25,7 +25,9 @@ of ``grid`` and ``bench`` by one rule: a data set's grids, one per model, are on
 unit of work, and at ``jobs=N`` a unit of w = rows x the configs of all its models
 goes out in min(ceil(N * w / total w), groups) chunks, its share of the work, mapped
 largest first over one ``worker_pool``; any N > 1 forks the pool, however small the
-grids.
+grids. The workers are forked at one BLAS thread, so their ``single_blas_thread``
+makes no OpenBLAS set call; run from the CLI, whose process stays at one thread, the
+parent makes none after the pool either (see ``solver`` for why that matters).
 """
 
 from __future__ import annotations
@@ -243,12 +245,18 @@ class GridSearchResult:
 @contextlib.contextmanager
 def worker_pool(jobs: int):
     """The builtin ``map`` for ``jobs`` <= 1; else the ``map`` of a pool of ``jobs`` worker
-    processes, forked under one BLAS thread so that each worker starts with the count its
-    fold code runs with."""
+    processes, forked (where the platform can fork) under one BLAS thread. Each worker
+    starts with the count its fold code runs with, so its ``single_blas_thread`` makes no
+    OpenBLAS set call, which after a fork would start a spinning thread server again."""
     if jobs <= 1:
         yield map
         return
-    with single_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    import multiprocessing  # here, as concurrent.futures imports its pool: only a pool pays
+
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    with single_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=context) as pool:
         yield pool.map
 
 

@@ -11,6 +11,16 @@ thousands of small ridge problems (a few hundred columns), on which a
 multithreaded ``D.T @ D`` and Cholesky are many times slower than a
 single-threaded one, and the O(l^2) weighting is numpy elementwise work. More
 cores are used through worker processes instead.
+
+The CLI runs each process on one BLAS thread: ``cli.main`` calls
+``set_one_blas_thread`` once and never restores the count, so every
+``single_blas_thread`` it reaches finds the count at 1. Both touch only a build
+whose count is not 1, because a set call after a fork is not free. OpenBLAS
+shuts its thread server down in a forking process (an atfork handler), and the
+next set call, even one to the count already set, starts it again with
+cores - 1 threads per build, which spin before they sleep beside the fit. A
+library caller still gets one thread inside each of these functions and its own
+count back after them.
 """
 
 from __future__ import annotations
@@ -55,17 +65,24 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+def set_one_blas_thread() -> list:
+    """Sets each bundled OpenBLAS whose count is not 1 to one thread; returns the
+    (set, previous count) of each build it set. A build at one thread is left alone."""
+    changed = [(set_, n) for get, set_ in _openblas_thread_controls() if (n := get()) != 1]
+    for set_, _ in changed:
+        set_(1)
+    return changed
+
+
 @contextlib.contextmanager
 def single_blas_thread():
-    """Run the block with one thread in each bundled OpenBLAS; restore the counts after."""
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    """Run the block with one thread in each bundled OpenBLAS; restore the counts after.
+    A build already at one thread is left alone, so a forked process makes no set call."""
+    changed = set_one_blas_thread()
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, previous):
+        for set_, n in changed:
             set_(n)
 
 

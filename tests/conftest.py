@@ -45,6 +45,8 @@ def gaussian_blobs(n_per_class: int, seed: int, separation: float = 2.0,
 
 
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+needs_proc_task = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                     reason="needs /proc/self/task")
 
 
 def read_through_pipe(text, read):

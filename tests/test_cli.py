@@ -29,7 +29,8 @@ from rvflkit.data import DataError, Dataset, stratified_k_fold
 from rvflkit.evaluate import GridSpec, enumerate_configs
 from rvflkit.model import CENTER_SCHEMES, MODEL_MAGIC, VARIANTS, ModelConfig
 from rvflkit.weighting import WeightingConfig
-from conftest import gaussian_blobs, needs_dev_fd, read_through_pipe, trace_sha256
+from conftest import _openblas_thread_functions, gaussian_blobs, needs_dev_fd, needs_proc_task, \
+    read_through_pipe, trace_sha256
 
 FIXTURES = resources.files("rvflkit") / "fixtures"
 
@@ -338,9 +339,9 @@ class TestBench:
         sizes = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
+                super().__init__(max_workers=min(max_workers, 2), **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         return sizes
@@ -680,6 +681,10 @@ BAD_ALPHAS = ("0", "1", "-0.1", "7", "nan")
     ("ranks_model_repeated", 2),
     ("manifest_datasets_empty", 2),
     ("manifest_models_empty", 2),
+    ("config_trailing_comma", 2),
+    ("config_not_utf8", 2),
+    ("grid_file_trailing_comma", 2),
+    ("manifest_trailing_comma", 2),
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code):
     ranks = str(FIXTURES / "binary_uci_avg_ranks.csv")
@@ -786,6 +791,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             tmp_path / "no_sets.json", '{"datasets": [], "models": ["rvfl"]}')],
         "manifest_models_empty": ["bench", "--out", out, "--manifest", _write(
             tmp_path / "no_models.json", '{"datasets": [{"path": "%s"}], "models": []}' % data)],
+        "grid_file_trailing_comma": ["grid", "--data", data, "--variant", "rvfl", "--grid-file",
+                                     _write(tmp_path / "comma.json", '{"k": 2,}')],
+        "manifest_trailing_comma": ["bench", "--out", out, "--manifest",
+                                    _write(tmp_path / "comma.json", '{"k": 2,}')],
     }.get(case)
     if case.startswith("wilcoxon_alpha_"):
         argv = ["stats", "wilcoxon", "--table", str(FIXTURES / "eeg_accuracy.csv"),
@@ -801,6 +810,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
     }
     if case in cv_settings:
         argv = ["cv", "--data", data, "--config", _write(tmp_path / "cfg.json", cv_settings[case])]
+    if case == "config_trailing_comma":
+        argv = ["cv", "--data", data, "--config", _write(tmp_path / "comma.json", '{"k": 2,}')]
+    if case == "config_not_utf8":
+        (tmp_path / "latin1.json").write_bytes('{"variant": "rvfl", "name": "é"}'.encode("latin-1"))
+        argv = ["cv", "--data", data, "--config", str(tmp_path / "latin1.json")]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -844,6 +858,12 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, toy_csv, case, code
             "ranks_model_repeated": "model 'a' is listed twice",
             "manifest_datasets_empty": "empty benchmark table",
             "manifest_models_empty": "empty benchmark table",
+            **dict.fromkeys(("config_trailing_comma", "grid_file_trailing_comma",
+                             "manifest_trailing_comma"),
+                            f"error: {tmp_path / 'comma.json'}: not UTF-8 JSON: Expecting "
+                            "property name enclosed in double quotes: line 1 column 9"),
+            "config_not_utf8": f"error: {tmp_path / 'latin1.json'}: not UTF-8 JSON: 'utf-8' "
+                               "codec can't decode byte 0xe9",
             **dict.fromkeys((f"wilcoxon_alpha_{alpha}" for alpha in BAD_ALPHAS),
                             "argument --alpha")}.get(case, "") in err
 
@@ -1082,6 +1102,37 @@ def test_readme_cli_examples_parse():
     assert len(commands) == 8
     for argv in commands:
         assert callable(cli.build_parser().parse_args(argv).func)
+
+
+@needs_proc_task
+def test_cli_process_stays_on_one_thread_after_a_pool(tmp_path):
+    # OpenBLAS shuts its thread server down in a forking process, and any set call after
+    # that starts it again: bench --jobs 2 and a later train must make none
+    builds = len(_openblas_thread_functions())
+    if not builds:
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    manifest = pinned_manifest(tmp_path)
+    commands = [["bench", "--manifest", str(manifest), "--out", str(tmp_path / "b"),
+                 "--jobs", "2"],
+                ["train", "--data", str(tmp_path / "small.csv"), "--variant", "r2vfl-m",
+                 "--out", str(tmp_path / "m.bin")]]
+    # the pool's own threads are joined, but the last of them may still be exiting
+    script = ("import json, os, sys, time\n"
+              "from rvflkit import cli, solver\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "deadline = time.monotonic() + 10\n"
+              "while len(os.listdir('/proc/self/task')) > 1 and time.monotonic() < deadline:\n"
+              "    time.sleep(0.01)\n"
+              "print(json.dumps([codes, len(os.listdir('/proc/self/task')),\n"
+              "                  [get() for get, _ in solver._openblas_thread_controls()]]))\n")
+    src = str(Path(rvflkit.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    codes, threads, counts = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert threads == 1 and counts == [1] * builds
 
 
 def test_train_and_predict_do_not_depend_on_blas_threads(tmp_path):

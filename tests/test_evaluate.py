@@ -1,3 +1,6 @@
+import concurrent.futures
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +18,10 @@ from rvflkit.evaluate import BenchmarkTable, GridSpec, accuracy, cross_validate,
     enumerate_configs, fold_seed, grid_search, grid_searches, worker_pool
 from rvflkit.model import CENTER_SCHEMES, VARIANTS, ModelConfig, fit_output_weights, forward, \
     init_random_layer, predict_scores, train
+from rvflkit.solver import single_blas_thread
 from rvflkit.weighting import WeightingConfig, build_class_geometry, \
     class_probability, feature_space_distance_matrix, huber_weights, kernel_matrix, resolve_delta
-from conftest import _openblas_thread_functions, random_dataset
+from conftest import _openblas_thread_functions, needs_proc_task, random_dataset
 
 
 class TestAccuracy:
@@ -478,6 +482,39 @@ class TestSingleBlasThread:
             seen = list(pool_map(_blas_thread_counts, range(4), timeout=60))
         assert seen == [(1,) * len(before)] * 4
         assert blas_threads() == before
+
+
+def _threads_after_product(_task):
+    with single_blas_thread():
+        a = np.ones((64, 64))
+        a @ a
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_proc_task
+def test_pool_workers_run_blas_on_their_one_thread(blas_threads):
+    # the workers are forked at one BLAS thread, and a set call after a fork would start
+    # cores - 1 OpenBLAS threads per build beside the fit
+    with worker_pool(2) as pool_map:
+        assert list(pool_map(_threads_after_product, range(4), timeout=60)) == [1] * 4
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+def test_pool_forks_whatever_the_default_start_method(monkeypatch):
+    # the workers must inherit the parent's one BLAS thread; Python 3.14 made forkserver
+    # the default on Linux
+    methods = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, mp_context=None):
+        methods.append(mp_context and mp_context.get_start_method())
+        return real(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    with worker_pool(2) as pool_map:
+        assert list(pool_map(abs, [-1, 2], timeout=60)) == [1, 2]
+    assert methods == ["fork"]
 
 
 class TestAverageRanks:

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf
 
 import rvflkit.solver
-from rvflkit.solver import SolverError, _spd_solve, solve_auto, solve_dual, solve_primal
+from rvflkit.solver import SolverError, _spd_solve, set_one_blas_thread, single_blas_thread, \
+    solve_auto, solve_dual, solve_primal
 
 
 def oracle(D, Y, gamma):
@@ -162,3 +163,45 @@ class TestFactorizationFailure:
         G = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e\+\d+"):
             _spd_solve(G, np.ones((2, 1)))
+
+
+class TestThreadControls:
+    """A build's set is called only where its count is not 1: after a fork, any OpenBLAS
+    set call, even one to the count already set, starts its thread server again."""
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        """Two fake builds at one thread each; yields their counts and the set calls."""
+        counts, calls = [1, 1], []
+
+        def control(i):
+            def set_(n):
+                calls.append((i, n))
+                counts[i] = n
+            return (lambda: counts[i]), set_
+
+        monkeypatch.setattr(rvflkit.solver, "_openblas_thread_controls",
+                            lambda: (control(0), control(1)))
+        return counts, calls
+
+    def test_no_set_call_where_every_count_is_one(self, fake):
+        counts, calls = fake
+        with single_blas_thread():
+            assert counts == [1, 1]
+        assert set_one_blas_thread() == []
+        assert counts == [1, 1] and calls == []
+
+    def test_sets_one_and_restores_where_a_count_is_not_one(self, fake):
+        counts, calls = fake
+        counts[1] = 4
+        with single_blas_thread():
+            assert counts == [1, 1]
+        assert counts == [1, 4] and calls == [(1, 1), (1, 4)]
+
+    def test_set_one_blas_thread_keeps_one_thread(self, fake):
+        counts, calls = fake
+        counts[:] = [2, 3]
+        set_one_blas_thread()
+        with single_blas_thread():
+            pass
+        assert counts == [1, 1] and calls == [(0, 1), (1, 1)]
