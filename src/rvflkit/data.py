@@ -247,8 +247,11 @@ def apply_normalization(features, params: NormalizationParams) -> np.ndarray:
     if X.shape[1] != params.minimum.shape[0]:
         raise DataError(f"feature count {X.shape[1]} does not match normalization "
                         f"params ({params.minimum.shape[0]})")
-    # Test-fold values may land outside [0, 1]; deliberately not clipped.
-    return (X - params.minimum) / params.range
+    # Test-fold values may land outside [0, 1]; deliberately not clipped. The quotient
+    # overwrites the difference, so the result is the one array allocated.
+    Xn = X - params.minimum
+    Xn /= params.range
+    return Xn
 
 
 def one_hot(labels, m: int) -> np.ndarray:

@@ -1136,7 +1136,9 @@ def test_cli_process_stays_on_one_thread_after_a_pool(tmp_path):
 
 
 def test_train_and_predict_do_not_depend_on_blas_threads(tmp_path):
-    # a 150-row robust model: big enough that a 2-thread OpenBLAS splits its products
+    # a 150-row robust model: big enough that a 2-thread OpenBLAS splits its products.
+    # cli.main sets one thread first, so this checks the CLI path; test_model's
+    # test_train_and_predict_scores_do_not_depend_on_blas_threads checks the library's
     ds = gaussian_blobs(75, seed=5, n_features=5, flip_fraction=0.1)
     data = tmp_path / "data.csv"
     with open(data, "w", newline="") as fh:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,12 +13,12 @@ import pytest
 from scipy.special import expit
 
 from rvflkit.data import Dataset, NormalizationParams, apply_normalization, one_hot
-from rvflkit.model import ACTIVATIONS, MODEL_MAGIC, MODEL_VERSION, ModelConfig, ModelError, \
-    ModelFormatError, RandomLayer, TrainedModel, _activate, design_matrix, forward, \
+from rvflkit.model import ACTIVATIONS, MODEL_MAGIC, MODEL_VERSION, PREDICT_ROWS, ModelConfig, \
+    ModelError, ModelFormatError, RandomLayer, TrainedModel, _activate, design_matrix, forward, \
     hidden_matrix, init_random_layer, load_model, predict, predict_scores, save_model, train
 from rvflkit.solver import single_blas_thread, solve_primal
 from rvflkit.weighting import WeightingConfig
-from conftest import fit_with_unit_scores, masked_sigmoid, random_dataset
+from conftest import fit_with_unit_scores, gaussian_blobs, masked_sigmoid, random_dataset
 
 WCFG = WeightingConfig(kernel_gamma=1.0)
 
@@ -107,7 +110,8 @@ ACTIVATION_ORACLES = {"sigmoid": expit, "tanh": np.tanh, "relu": lambda Z: np.ma
 
 class TestForward:
     """``forward`` builds [Xn, hidden] in one buffer; its bytes must equal those of the
-    separate arrays it replaced."""
+    separate arrays it replaced. ``predict_scores`` scores PREDICT_ROWS rows at a time;
+    its bytes must equal those of the separate arrays scored block by block."""
 
     # (rows, features, hidden nodes): one row, one hidden node, one feature, a dual
     # shape (more columns than rows), and a large prediction
@@ -117,6 +121,11 @@ class TestForward:
     def reference(Xn, layer, config):
         H = ACTIVATION_ORACLES[config.activation](Xn @ layer.input_weights + layer.bias)
         return np.hstack([Xn, H]) if config.direct_link else H
+
+    @classmethod
+    def blocked_reference_scores(cls, Xn, layer, config, W2):
+        return np.vstack([cls.reference(Xn[i:i + PREDICT_ROWS], layer, config) @ W2
+                          for i in range(0, len(Xn), PREDICT_ROWS)])
 
     @staticmethod
     def model(rng, n, L, config, n_classes=3):
@@ -137,11 +146,32 @@ class TestForward:
         with single_blas_thread():  # the thread count of every fit and prediction
             D = forward(Xn, model.random_layer, config)
             ref = self.reference(Xn, model.random_layer, config)
-            ref_scores = ref @ model.output_weights
+            ref_scores = self.blocked_reference_scores(Xn, model.random_layer, config,
+                                                       model.output_weights)
         # the Gram's D.T @ D and the scoring GEMM see the old layout only if D is C-ordered
         assert D.flags.c_contiguous and D.shape == ref.shape
         assert D.tobytes() == ref.tobytes()
         assert predict_scores(model, X).tobytes() == ref_scores.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, PREDICT_ROWS - 1, PREDICT_ROWS, PREDICT_ROWS + 1,
+                                      2 * PREDICT_ROWS + 3])
+    @pytest.mark.parametrize("variant", ["rvfl", "elm"])
+    def test_predict_scores_blocks_rows(self, rng, variant, rows):
+        config = ModelConfig(variant, 203, 1.0)
+        model = self.model(rng, 20, 203, config)
+        X = rng.normal(size=(rows, 20))
+        Xn = apply_normalization(X, model.normalization)
+        scores = predict_scores(model, X)
+        with single_blas_thread():
+            whole = forward(Xn, model.random_layer, config) @ model.output_weights
+            blocked = self.blocked_reference_scores(Xn, model.random_layer, config,
+                                                    model.output_weights)
+        assert scores.tobytes() == blocked.tobytes()
+        if rows <= PREDICT_ROWS:  # one block: the whole product's GEMM, with its bytes
+            assert scores.tobytes() == whole.tobytes()
+        else:  # blocked GEMMs round differently from the whole product
+            np.testing.assert_allclose(scores, whole, rtol=1e-12, atol=1e-12)
+            assert np.argmax(scores, axis=1).tobytes() == np.argmax(whole, axis=1).tobytes()
 
     def test_forward_allocates_only_its_result(self, rng):
         config = ModelConfig("rvfl", 203, 1.0)
@@ -155,18 +185,34 @@ class TestForward:
             tracemalloc.stop()
         assert D.nbytes <= peak <= D.nbytes + 2**20
 
-    def test_predict_scores_allocates_design_normalization_and_scores(self, rng):
-        model = self.model(rng, 20, 203, ModelConfig("rvfl", 203, 1.0))
-        X = rng.normal(size=(20000, 20))
+    @staticmethod
+    def predict_peak(model, X):
+        """The scores and the traced peak of one ``predict_scores`` call."""
         tracemalloc.start()
         try:
             scores = predict_scores(model, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        design = 20000 * (20 + 203) * 8
-        # (X - minimum) and its quotient by the range are alive together for a moment
-        assert peak <= design + 2 * X.nbytes + scores.nbytes + 2**20
+        return scores, peak
+
+    def test_predict_scores_allocates_design_normalization_and_scores(self, rng):
+        model = self.model(rng, 20, 203, ModelConfig("rvfl", 203, 1.0))
+        X = rng.normal(size=(20000, 20))
+        scores, peak = self.predict_peak(model, X)
+        block = PREDICT_ROWS * (20 + 203) * 8
+        # one block buffer, the normalized copy of X (the quotient overwrites the
+        # difference) and the scores
+        assert peak <= block + X.nbytes + scores.nbytes + 2**20
+
+    def test_predict_scores_peak_does_not_grow_with_rows(self, rng):
+        model = self.model(rng, 20, 203, ModelConfig("rvfl", 203, 1.0))
+        beyond = []  # the traced peak beyond X's normalized copy and the scores
+        for rows in (20000, 80000):
+            X = rng.normal(size=(rows, 20))
+            scores, peak = self.predict_peak(model, X)
+            beyond.append(peak - X.nbytes - scores.nbytes)
+        assert beyond[1] <= beyond[0] + 2**16
 
 
 class TestTrain:
@@ -237,6 +283,14 @@ class TestTrain:
         save_model(model, tmp_path / "m.rvfl")
         assert load_model(tmp_path / "m.rvfl").train_predictions is None
 
+    @pytest.mark.parametrize("variant", ["rvfl", "elm"])
+    def test_train_predictions_above_one_block_are_predict_labels(self, variant):
+        # train scores its whole design matrix and predict one block at a time; on
+        # continuous data no two class scores tie within the rounding between the two
+        ds = gaussian_blobs(PREDICT_ROWS + 2, seed=3, n_features=4, flip_fraction=0.1)
+        model = train(ds, ModelConfig(variant, 53, 10.0, seed=2))
+        assert model.train_predictions.tobytes() == predict(model, ds.features)[1].tobytes()
+
     def test_robust_variant_requires_weighting(self):
         with pytest.raises(ModelError):
             ModelConfig("r2vfl-a", 5, 1.0)
@@ -245,6 +299,36 @@ class TestTrain:
         # the weighting of a plain variant would be a setting nothing reads
         with pytest.raises(ModelError, match="takes no weighting"):
             ModelConfig("rvfl", 5, 1.0, weighting=WCFG)
+
+
+# Trains a robust model and scores more than one block of rows through the library,
+# without cli.main, which would set one BLAS thread for the whole process.
+THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from rvflkit.data import Dataset
+from rvflkit.model import PREDICT_ROWS, ModelConfig, predict_scores, save_model, train
+from rvflkit.weighting import WeightingConfig
+rng = np.random.default_rng(5)
+ds = Dataset(rng.normal(size=(300, 20)), np.arange(300) % 3, ("a", "b", "c"))
+model = train(ds, ModelConfig("r2vfl-m", 203, 100.0, weighting=WeightingConfig(tau_multiplier=0.75)))
+save_model(model, sys.argv[1])
+scores = predict_scores(model, rng.normal(size=(3 * PREDICT_ROWS + 5, 20)))
+print(hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+def test_train_and_predict_scores_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = tmp_path / f"threads{threads}.rvfl"
+        done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append((path.read_bytes(), done.stdout))
+    assert outputs[0] == outputs[1]
 
 
 class TestPredict:
