@@ -21,7 +21,7 @@ from .evaluate import BenchmarkTable, GridSpec, accuracy, average_ranks, check_m
     cross_validate, enumerate_configs, grid_search, grid_searches
 from .model import ACTIVATIONS, CENTER_SCHEMES, VARIANTS, ModelConfig, load_model, predict, \
     save_model, train
-from .solver import SolverError, set_one_blas_thread
+from .solver import SolverError, set_one_blas_thread, stop_blas_thread_servers
 from .stats import Q_ALPHA_05, friedman, nemenyi_cd, nemenyi_table, wilcoxon_signed_rank
 from .weighting import WeightingConfig
 
@@ -522,8 +522,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     # every command does its BLAS work on one thread; set once and kept, the count
-    # needs no set call after the fork of a worker pool (see rvflkit.solver)
+    # needs no set call after the fork of a worker pool, and the BLAS worker threads
+    # that loading OpenBLAS started are stopped (see rvflkit.solver)
     set_one_blas_thread()
+    stop_blas_thread_servers()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -199,7 +199,7 @@ def _fold_accuracies(dataset: Dataset, configs, k: int, seed: int):
     accs = np.full((len(configs), k), np.nan)
     for f in range(k):
         test = folds == f
-        if np.unique(dataset.labels[~test]).size < dataset.n_classes:
+        if not np.bincount(dataset.labels[~test], minlength=dataset.n_classes).all():
             continue  # a class is absent from the training folds: the fold is skipped
         ctx = _FoldContext(dataset, test, schemes)
         for hidden, idx in by_hidden.items():

@@ -23,6 +23,14 @@ bytes. Above that, the blocked GEMMs round differently from the whole product
 (about 1e-15 relative), so the scores' bytes depend on PREDICT_ROWS; labels can
 differ only where two class scores tie within that rounding.
 
+The sigmoid is 1 / (1 + exp(-x)) in numpy, in place, with exp's overflow below
+x = -709.78 (where the result is 0) silenced. It is ``scipy.special.expit``'s formula
+with numpy's exp, which differs from the C library's by up to one ulp, so activations
+are within 2 ulp of expit's (4 ulp where 1 + exp(-x) crosses 2**53, near x = -36.9):
+sigmoid model files and scores differ from expit's in their last bits. It spares every
+command the import of ``scipy.special``, and is faster: 0.63 ms against expit's 1.03 ms
+in place on the 766 x 203 hidden block of a design buffer (2-core Xeon VM).
+
 ``train`` builds one design matrix and reads it twice: for the ridge fit and for
 the predicted labels of the training rows (``TrainedModel.train_predictions``).
 Up to PREDICT_ROWS training rows they are the bits ``predict`` gives on those
@@ -41,7 +49,7 @@ import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import expit
+import numpy.random  # noqa: F401  (loaded at import: every command draws a random layer)
 
 from .data import Dataset, NormalizationParams, apply_normalization, fit_normalization, one_hot
 from .solver import single_blas_thread, solve_auto
@@ -122,7 +130,12 @@ def init_random_layer(n_features: int, hidden_nodes: int, seed: int) -> RandomLa
 
 def _activate(Z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
     if activation == "sigmoid":
-        return expit(Z, out=out)
+        # 1 / (1 + exp(-Z)): exp overflows to inf below Z = -709.78, where the result is 0
+        E = np.negative(Z, out=out)
+        with np.errstate(over="ignore"):
+            np.exp(E, out=E)
+        E += 1.0
+        return np.divide(1.0, E, out=E)
     if activation == "tanh":
         return np.tanh(Z, out=out)
     if activation == "relu":
@@ -310,12 +323,21 @@ def _parse_payload(payload: bytes) -> TrainedModel:
         weighting = _from_header(WeightingConfig, weighting)
     config = _from_header(ModelConfig, {**header, "weighting": weighting})
     layer = RandomLayer(_read_array(buf), _read_array(buf))
-    if layer.input_weights.shape[0] != header["n_features"]:
-        raise ModelFormatError(f"the header's {header['n_features']} features do not match "
-                               f"the stored layer's {layer.input_weights.shape[0]}")
     W2 = _read_array(buf)
     norm = NormalizationParams(_read_array(buf), _read_array(buf))
     scores = None
     if header["has_scores"]:
         scores = ContributionScores(_read_array(buf), _read_array(buf), _read_array(buf))
+    n, L, classes = header["n_features"], config.hidden_nodes, len(header["class_names"])
+    shapes = {"input weights": (layer.input_weights, (n, L)), "bias": (layer.bias, (L,)),
+              "output weights": (W2, (n * config.direct_link + L, classes)),
+              "normalization minimum": (norm.minimum, (n,)),
+              "normalization range": (norm.range, (n,))}
+    if scores is not None:  # cp, m and r: one entry per training row
+        shapes.update({name: (a, (scores.r.size,)) for name, a
+                       in zip(("cp", "m", "r"), (scores.cp, scores.m, scores.r))})
+    for name, (a, shape) in shapes.items():
+        if a.shape != shape:
+            raise ModelFormatError(f"malformed model file ({name} of shape {a.shape}, "
+                                   f"expected {shape})")
     return TrainedModel(layer, W2, norm, config, tuple(header["class_names"]), scores)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class StatsError(ValueError):
@@ -99,6 +98,8 @@ class WilcoxonResult:
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Paired signed-rank test: zero diffs dropped, |d| ranked with average ties,
     normal approximation on min(R+, R-)."""
+    from scipy.special import ndtr  # here: importing scipy.special would double start-up
+
     a = _check_finite(a, "paired samples")
     b = _check_finite(b, "paired samples")
     if a.shape != b.shape:

@@ -164,6 +164,20 @@ class TestPredict:
         assert err.count("\n") == 1
         assert "4 fields; expected 2 (features only) or 3 (features and a label)" in err
 
+    def test_model_of_wrong_shape_is_one_line_error(self, toy_csv, tmp_path, capsys):
+        # a checksum-valid file whose output weights lack a row
+        model_path = tmp_path / "m.bin"
+        assert main(["train", "--data", str(toy_csv), "--variant", "rvfl",
+                     "--hidden", "5", "--out", str(model_path)]) == 0
+        model = rvflkit.model.load_model(model_path)
+        rvflkit.model.save_model(replace(model, output_weights=model.output_weights[:-1]),
+                                 model_path)
+        capsys.readouterr()
+        assert main(["predict", "--data", str(toy_csv), "--model", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: malformed model file (output weights of shape")
+
 
 class TestCv:
     def test_fold_output_and_determinism(self, toy_csv, capsys):
@@ -1026,6 +1040,53 @@ def test_import_loads_no_scipy_stats(module):
     assert done.stdout == "[]\n"  # also: the import prints nothing
 
 
+# Runs every command but the LU fallback and `stats wilcoxon` in one process after
+# `import rvflkit.cli`, and prints the numpy and scipy modules that each one adds
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+import rvflkit.cli
+print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.special"))))
+before = set(sys.modules)
+for argv in [
+        ["train", "--data", "a.csv", "--variant", "r2vfl-m", "--hidden", "5", "--tau", "0.75",
+         "--out", "m.rvfl"],
+        ["predict", "--data", "a.csv", "--model", "m.rvfl"],
+        ["cv", "--data", "a.csv", "--variant", "r2vfl-a", "--hidden", "5", "--k", "3"],
+        ["grid", "--data", "a.csv", "--variant", "r2vfl-m", "--grid-file", "grid.json"],
+        ["bench", "--manifest", "manifest.json", "--out", "table", "--jobs", "1"],
+        ["stats", "friedman", "--table", "table/accuracy.csv"]]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rvflkit.cli.main(argv)
+    print(argv[0], code, sorted(m for m in set(sys.modules) - before
+                                if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_import_loads_what_every_command_needs(tmp_path):
+    # scipy.linalg and scipy.special would double every command's start-up; the import
+    # loads everything else that the commands touch, so that no command pays for it
+    grid = {"gamma_grid": [1.0, 100.0], "hidden_grid": [5], "kernel_grid": [1.0],
+            "tau_grid": [0.75, 1.0]}
+    (tmp_path / "grid.json").write_text(json.dumps({**grid, "k": 3}))
+    datasets = []
+    for i, separation in enumerate((1.0, 2.0, 4.0, 8.0)):
+        ds = gaussian_blobs(10, seed=i, separation=separation)
+        with open(tmp_path / f"{'abcd'[i]}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(list(x) + [ds.class_names[y]]
+                                     for x, y in zip(ds.features, ds.labels))
+        datasets.append({"path": f"{'abcd'[i]}.csv", "name": "abcd"[i]})
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"datasets": datasets, "models": ["rvfl", "elm", "r2vfl-a"], "grid": grid, "k": 3}))
+    src = str(Path(rvflkit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines() == [
+        "[]", *(f"{command} 0 []" for command in
+                ("train", "predict", "cv", "grid", "bench", "stats"))], done.stderr
+
+
 def test_every_grid_spec_field_has_a_setting_kind():
     # _grid_spec reads every GridSpec field from JSON; one without a kind would raise
     # a bare KeyError there
@@ -1133,6 +1194,29 @@ def test_cli_process_stays_on_one_thread_after_a_pool(tmp_path):
     codes, threads, counts = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0, 0]
     assert threads == 1 and counts == [1] * builds
+
+
+@needs_proc_task
+def test_cli_process_stops_the_blas_thread_servers(toy_csv):
+    # loading OpenBLAS starts cores - 1 worker threads per build, which spin for a while
+    # after they start; cli.main stops them, and no command starts them again
+    builds = len(_openblas_thread_functions())
+    if not builds:
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    script = ("import json, os, sys\n"
+              "from rvflkit import cli\n"
+              "loaded = len(os.listdir('/proc/self/task'))\n"
+              "code = cli.main(['train', '--data', sys.argv[1], '--variant', 'rvfl',\n"
+              "                 '--out', os.devnull])\n"
+              "print(json.dumps([code, loaded, len(os.listdir('/proc/self/task'))]))\n")
+    src = str(Path(rvflkit.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, str(toy_csv)], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    code, loaded, threads = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == 1 + builds and threads == 1
 
 
 def test_train_and_predict_do_not_depend_on_blas_threads(tmp_path):

@@ -255,8 +255,9 @@ class TestSharedRidgePath:
                             counting("layer", rvflkit.evaluate.init_random_layer))
         for name in ("solve_primal", "solve_dual"):
             monkeypatch.setattr(rvflkit.solver, name, counting("gram", getattr(rvflkit.solver, name)))
-        monkeypatch.setattr(rvflkit.solver, "_spd_solve",
-                            counting("factorization", rvflkit.solver._spd_solve))
+        cholesky_solver = rvflkit.solver._cholesky_solver  # one solve per factorization
+        monkeypatch.setattr(rvflkit.solver, "_cholesky_solver",
+                            lambda c, X: counting("factorization", cholesky_solver(c, X)))
         # each function is counted where its caller looks it up
         for module, name, key in ((rvflkit.weighting, "build_class_geometry", "geometry"),
                                   (rvflkit.weighting, "kernel_matrix", "kernel"),
@@ -323,7 +324,7 @@ class TestSharedRidgePath:
             return lu_factor(*args, **kwargs)
 
         # every potrf reports a leading minor that is not positive definite (info > 0)
-        monkeypatch.setattr(rvflkit.solver, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setattr(rvflkit.solver, "_cholesky_solver", lambda c, X: lambda i: False)
         monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu)
         ds = random_dataset(rng, n_samples=30, n_features=3)
         fits = distinct_fits(ds, "r2vfl-m", self.GRID)

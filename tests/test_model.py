@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,31 @@ class TestSigmoid:
             out = _activate(self.EDGES.reshape(3, 3), "sigmoid")
         assert np.all((out >= 0) & (out <= 1))
 
+    def test_within_ulps_of_scipy_expit(self):
+        # 1 / (1 + exp(-Z)) is expit's formula; numpy's exp differs from the C library's
+        # by up to one ulp. That stays within 2 ulp of expit, except where 1 + exp(-Z)
+        # crosses 2**53 (Z near -36.9): there the sum's rounding and the reciprocal's
+        # binade double it.
+        Z = np.linspace(-750.0, 750.0, 3_000_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _activate(Z, "sigmoid")
+        want = expit(Z)
+        normal = want >= np.finfo(np.float64).tiny
+        ulps = np.abs(got - want)[normal] / np.spacing(want[normal])
+        crossing = (Z[normal] > -37.1) & (Z[normal] < -36.7)
+        assert ulps[~crossing].max() <= 2 and ulps[crossing].max() <= 4
+        # below the smallest normal float (Z < -708.4), within one subnormal step
+        assert np.abs(got - want)[~normal].max() <= np.finfo(np.float64).smallest_subnormal
+
+    def test_special_values_equal_scipy_expit(self):
+        Z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _activate(Z, "sigmoid")
+        np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.nan])
+        np.testing.assert_array_equal(got, expit(Z))
+
 
 class TestDesignMatrix:
     def test_concatenation_shape(self, rng):
@@ -105,7 +131,17 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(design_matrix(X, layer, "sigmoid", True)[:, :2], X)
 
 
-ACTIVATION_ORACLES = {"sigmoid": expit, "tanh": np.tanh, "relu": lambda Z: np.maximum(Z, 0.0)}
+def sigmoid_formula(Z):
+    """The model's sigmoid, 1 / (1 + exp(-Z)), on a new array."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-Z))
+
+
+# These oracles pin how the design matrix is laid out and blocked, not the activation
+# (TestSigmoid holds the sigmoid against scipy.special.expit), so the sigmoid's is the
+# model's own formula.
+ACTIVATION_ORACLES = {"sigmoid": sigmoid_formula, "tanh": np.tanh,
+                      "relu": lambda Z: np.maximum(Z, 0.0)}
 
 
 class TestForward:
@@ -345,8 +381,10 @@ class TestPredict:
 
 GOLDEN = Path(__file__).parent / "golden"
 # The models under tests/golden/: save_model(train(golden_dataset(), config)) at commit
-# 5920cf1, which wrote the header field by field, and for the tau = 1 model at commit
-# 9137b66, which built the class geometry at every tau. Their labels on golden_probe().
+# 5920cf1, which wrote the header field by field. The tau = 1 model, the one sigmoid
+# model, was written again when the sigmoid became numpy's 1 / (1 + exp(-x)) in place of
+# scipy.special.expit: its output weights moved by 1.3e-15 relative. The tanh and relu
+# models pin the bytes of the LAPACK calls. Their labels on golden_probe().
 GOLDEN_MODELS = {
     "r2vfl-m.rvfl": (ModelConfig("r2vfl-m", 7, 10.0, activation="tanh", seed=11,
                                  weighting=WeightingConfig(kernel_gamma=0.5, tau_multiplier=0.75,
@@ -447,6 +485,30 @@ class TestSerialization:
         p.write_bytes(b"hello")
         with pytest.raises(ModelFormatError):
             load_model(p)
+
+    # One array of a checksum-valid file cut or grown by one entry, so that it no longer
+    # fits the header's features, hidden nodes, direct link and classes
+    WRONG_SHAPES = {
+        "input weights": lambda m: replace(m, random_layer=RandomLayer(
+            m.random_layer.input_weights[:, :-1], m.random_layer.bias)),
+        "bias": lambda m: replace(m, random_layer=RandomLayer(
+            m.random_layer.input_weights, m.random_layer.bias[:-1])),
+        "output weights": lambda m: replace(m, output_weights=m.output_weights[:-1]),
+        "normalization minimum": lambda m: replace(m, normalization=NormalizationParams(
+            m.normalization.minimum[:-1], m.normalization.range)),
+        "normalization range": lambda m: replace(m, normalization=NormalizationParams(
+            m.normalization.minimum, np.append(m.normalization.range, 1.0))),
+        "cp": lambda m: replace(m, scores=replace(m.scores, cp=m.scores.cp[:-1])),
+        "m": lambda m: replace(m, scores=replace(m.scores, m=np.append(m.scores.m, 1.0))),
+    }
+
+    @pytest.mark.parametrize("variant,name", [*(("r2vfl-m", name) for name in WRONG_SHAPES),
+                                              ("elm", "output weights")])
+    def test_array_of_wrong_shape_is_malformed(self, rng, tmp_path, variant, name):
+        _, model = self.make(rng, variant)
+        save_model(self.WRONG_SHAPES[name](model), tmp_path / "m.rvfl")
+        with pytest.raises(ModelFormatError, match=rf"^malformed model file \({name} of shape"):
+            load_model(tmp_path / "m.rvfl")
 
     @pytest.mark.parametrize("case", ["missing_keys", "header_length_past_end", "no_arrays",
                                       "center_scheme_of_other_variant",

@@ -1,12 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 import rvflkit.solver
-from rvflkit.solver import SolverError, _spd_solve, set_one_blas_thread, single_blas_thread, \
+from rvflkit.solver import SolverError, _spd_solves, set_one_blas_thread, single_blas_thread, \
     solve_auto, solve_dual, solve_primal
+
+
+def spd_solve(G, rhs):
+    """G^-1 rhs by the solver's Cholesky path (LU where Cholesky fails)."""
+    (x,) = _spd_solves(G, rhs, [0.0])
+    return x
 
 
 def oracle(D, Y, gamma):
@@ -79,9 +87,9 @@ def test_gamma_path_matches_one_solve_per_gamma(rng, shape):
     for solve in (solve_primal, solve_dual, solve_auto):
         for g, W in zip(gammas, solve(D, Y, gammas), strict=True):
             if solve is solve_primal or (solve is solve_auto and d <= l):
-                single = _spd_solve(D.T @ D + np.eye(d) / g, D.T @ Y)
+                single = spd_solve(D.T @ D + np.eye(d) / g, D.T @ Y)
             else:
-                single = D.T @ _spd_solve(D @ D.T + np.eye(l) / g, Y)
+                single = D.T @ spd_solve(D @ D.T + np.eye(l) / g, Y)
             np.testing.assert_array_equal(W, single)
 
 
@@ -118,6 +126,75 @@ def test_monotone_shrinkage(rng):
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def spd_system(n, k, seed):
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(n + 3, n))
+    return D.T @ D, rng.normal(size=(n, k))
+
+
+def wrapper_solve(A, rhs):
+    """The f2py wrappers' Cholesky solve, as the solver called them before."""
+    c, info = dpotrf(A, lower=0, clean=0)
+    assert info == 0
+    x, info = dpotrs(c, rhs, lower=0)
+    assert info == 0
+    return x
+
+
+class TestCholeskyPath:
+    """``_spd_solves`` calls LAPACK from scipy's bundled OpenBLAS through ctypes, or the
+    ``scipy.linalg.lapack`` wrappers where scipy bundles none; either way its solutions
+    have the bytes and layout of the wrappers' dpotrf and dpotrs."""
+
+    CASES = [(n, k) for n in (1, 2, 16, 113, 212) for k in (1, 2, 3)]
+
+    @pytest.fixture(params=["bundled", "wrappers"])
+    def wrapper_calls(self, request, monkeypatch):
+        """Sets up the path named by the parameter; yields the calls it is to make to
+        scipy's f2py dpotrf wrapper per solve (none or one) and the list of those made."""
+        calls = []
+        real = scipy.linalg.lapack.dpotrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        if request.param == "wrappers":  # a scipy without a bundled library
+            monkeypatch.setattr(rvflkit.solver, "_bundled_openblas", lambda: {})
+            monkeypatch.setattr(rvflkit.solver, "_lapack",
+                                functools.cache(rvflkit.solver._lapack.__wrapped__))
+            assert rvflkit.solver._lapack() is None
+        elif rvflkit.solver._lapack() is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        return int(request.param == "wrappers"), calls
+
+    @pytest.mark.parametrize("n,k", CASES)
+    def test_bytes_equal_wrappers(self, wrapper_calls, n, k):
+        per_solve, calls = wrapper_calls
+        G, rhs = spd_system(n, k, seed=n * 10 + k)
+        G_before, rhs_before = G.copy(), rhs.copy()
+        want = wrapper_solve(G, rhs)
+        for g, r in ((G, rhs), (np.asfortranarray(G), np.asfortranarray(rhs))):
+            (x,) = _spd_solves(g, r, [0.0])
+            assert x.tobytes(order="A") == want.tobytes(order="A")
+            assert x.flags.f_contiguous and x.shape == (n, k)
+        assert G.tobytes() == G_before.tobytes() and rhs.tobytes() == rhs_before.tobytes()
+        assert len(calls) == 2 * per_solve
+
+    @pytest.mark.parametrize("n,k", CASES)
+    def test_each_shift_equals_wrappers_on_shifted_copy(self, wrapper_calls, n, k):
+        # the shifts share one workspace; each gets the bytes of a solve of its own
+        G, rhs = spd_system(n, k, seed=n * 10 + k)
+        shifts = [1e5, 1.0, 1e-5, 0.0]
+        for shift, x in zip(shifts, _spd_solves(G, rhs, shifts), strict=True):
+            A = G.copy()
+            A.flat[::n + 1] += shift
+            assert x.tobytes(order="A") == wrapper_solve(A, rhs).tobytes(order="A")
+
+    def test_rejects_shapes_that_do_not_fit(self):
+        for G, rhs in ((np.eye(3), np.ones((2, 1))), (np.ones((3, 2)), np.ones((3, 1))),
+                       (np.eye(3), np.ones(3))):
+            with pytest.raises(ValueError, match="cannot solve"):
+                _spd_solves(G, rhs, [1.0])
+
+
 class TestFactorizationFailure:
     @staticmethod
     def fail(*args, **kwargs):
@@ -126,7 +203,7 @@ class TestFactorizationFailure:
     @staticmethod
     def not_positive_definite(monkeypatch):
         # LAPACK potrf's info > 0: a leading minor is not positive definite
-        monkeypatch.setattr(rvflkit.solver, "dpotrf", lambda a, **kwargs: (a, 1))
+        monkeypatch.setattr(rvflkit.solver, "_cholesky_solver", lambda c, X: lambda i: False)
 
     def test_cholesky_failure_falls_back_to_lu(self, rng, monkeypatch):
         lu_calls = []
@@ -156,13 +233,13 @@ class TestFactorizationFailure:
         G = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, -1.0], [0.5, -1.0, 3.0]])
         assert dpotrf(G, lower=0, clean=0)[1] > 0  # Cholesky rejects it
         rhs = rng.normal(size=(3, 2))
-        np.testing.assert_allclose(_spd_solve(G, rhs), np.linalg.solve(G, rhs), atol=1e-12)
+        np.testing.assert_allclose(spd_solve(G, rhs), np.linalg.solve(G, rhs), atol=1e-12)
 
     def test_singular_matrix_raises_with_condition_estimate(self):
         # rank 1: LU meets an exactly zero pivot, which lu_factor only warns of
         G = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SolverError, match=r"condition number ~\d\.\d{3}e\+\d+"):
-            _spd_solve(G, np.ones((2, 1)))
+            spd_solve(G, np.ones((2, 1)))
 
 
 class TestThreadControls:
