@@ -481,7 +481,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_handler("cmd_grid"))
 
     p = sub.add_parser("bench", help="benchmark models across datasets from a manifest")
-    add_common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--models", type=lambda text: text.split(","),
                    help="comma-separated model list override")

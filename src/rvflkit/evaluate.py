@@ -14,20 +14,18 @@ whatever their variant, and one design matrix [X, H] per side, whose H block elm
 takes as a contiguous copy. Each distinct (direct link, weight vector r) costs one
 Gram matrix and one factorization per ridge gamma. A weighting whose r repeats an
 earlier one's bytes (with delta at a quantile, cp ignores kernel gamma; at tau = 1,
-r = cp for both robust variants) reuses its accuracies. Every cell still equals the
-fit of its config alone, bit for bit, so ``cross_validate(dataset, config, k,
-seed)`` reproduces the grid cell of ``config``.
+r = cp for both robust variants) reuses its accuracies. Every cell equals the fit
+of its config alone, bit for bit, so ``cross_validate(dataset, config, k, seed)``
+reproduces the grid cell of ``config``.
 
 Both fit with one BLAS thread per process: ``solver.single_blas_thread`` wraps
 ``cross_validate`` and ``_evaluate_chunk``, which runs one chunk of a data set's
 grids and is each pool worker's entry point. ``grid_searches`` schedules the grids
-of ``grid`` and ``bench`` by one rule: a data set's grids, one per model, are one
-unit of work, and at ``jobs=N`` a unit of w = rows x the configs of all its models
-goes out in min(ceil(N * w / total w), groups) chunks, its share of the work, mapped
-largest first over one ``worker_pool``; any N > 1 forks the pool, however small the
-grids. The workers are forked at one BLAS thread, so their ``single_blas_thread``
-makes no OpenBLAS set call; run from the CLI, whose process stays at one thread, the
-parent makes none after the pool either (see ``solver`` for why that matters).
+of ``grid`` and ``bench`` over one ``worker_pool``, by each data set's share of the
+work; any ``jobs`` > 1 forks the pool, however small the grids. The workers are
+forked at one BLAS thread, so their ``single_blas_thread`` makes no OpenBLAS set
+call; run from the CLI, whose process stays at one thread, the parent makes none
+after the pool either (see ``solver`` for why that matters).
 """
 
 from __future__ import annotations
@@ -118,8 +116,9 @@ class _FoldContext:
     def __init__(self, dataset: Dataset, test: np.ndarray,
                  schemes=tuple(CENTER_SCHEMES.values())):
         train = ~test
-        norm = fit_normalization(dataset.features[train])
-        self.X_tr = apply_normalization(dataset.features[train], norm)
+        X_tr = dataset.features[train]
+        norm = fit_normalization(X_tr)
+        self.X_tr = apply_normalization(X_tr, norm)
         self.X_te = apply_normalization(dataset.features[test], norm)
         self.y_tr = dataset.labels[train]
         self.y_te = dataset.labels[test]
@@ -245,9 +244,8 @@ class GridSearchResult:
 @contextlib.contextmanager
 def worker_pool(jobs: int):
     """The builtin ``map`` for ``jobs`` <= 1; else the ``map`` of a pool of ``jobs`` worker
-    processes, forked (where the platform can fork) under one BLAS thread. Each worker
-    starts with the count its fold code runs with, so its ``single_blas_thread`` makes no
-    OpenBLAS set call, which after a fork would start a spinning thread server again."""
+    processes, forked (where the platform can fork) under one BLAS thread, the count
+    their fold code runs with."""
     if jobs <= 1:
         yield map
         return

@@ -3,8 +3,7 @@
 Every fit and scoring pass, in ``train``/``predict`` and in the CV fold code,
 maps normalized inputs to the design matrix with ``forward`` and solves the
 (r-weighted) ridge problem with ``fit_output_weights``. All of them run with one
-BLAS thread (``solver.single_blas_thread``), so their results do not depend on
-the core count.
+BLAS thread (``solver.single_blas_thread``, which says why).
 
 ``forward`` allocates only the design matrix: ``design_matrix`` lays out one
 C-ordered (l, n + L) array [X, H] (n = 0 input columns without the direct link),
@@ -24,12 +23,10 @@ bytes. Above that, the blocked GEMMs round differently from the whole product
 differ only where two class scores tie within that rounding.
 
 The sigmoid is 1 / (1 + exp(-x)) in numpy, in place, with exp's overflow below
-x = -709.78 (where the result is 0) silenced. It is ``scipy.special.expit``'s formula
-with numpy's exp, which differs from the C library's by up to one ulp, so activations
-are within 2 ulp of expit's (4 ulp where 1 + exp(-x) crosses 2**53, near x = -36.9):
-sigmoid model files and scores differ from expit's in their last bits. It spares every
-command the import of ``scipy.special``, and is faster: 0.63 ms against expit's 1.03 ms
-in place on the 766 x 203 hidden block of a design buffer (2-core Xeon VM).
+x = -709.78 (where the result is 0) silenced, which spares every command the import of
+``scipy.special``. It is ``expit``'s formula with numpy's exp, which differs from the C
+library's by up to one ulp, so activations are within 2 ulp of expit's (4 ulp where
+1 + exp(-x) crosses 2**53, near x = -36.9).
 
 ``train`` builds one design matrix and reads it twice: for the ridge fit and for
 the predicted labels of the training rows (``TrainedModel.train_predictions``).

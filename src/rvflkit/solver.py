@@ -5,16 +5,12 @@ factorized once per gamma, which gives every gamma the result of a solve of its 
 
 The factorization is LAPACK's ``dpotrf`` and ``dpotrs`` from the OpenBLAS library
 bundled in the scipy wheel (``scipy.libs/``), called through ctypes with the
-arguments that ``scipy.linalg.lapack`` gives them (``lower=0, clean=0``). Each gamma
-writes G + I/gamma into one F-ordered workspace per Gram matrix, factorizes it there
-and solves in place on its own F-ordered copy of the right-hand sides, so every
-solution has the bytes and the layout those wrappers return. The pointers that the
-calls take are made once per Gram matrix: per solve, a path of 11 gammas costs less
-than the wrappers' calls, one of 3 about as much, and a single gamma a few microseconds
-more. Importing ``scipy.linalg`` would about double every command's start-up (its
-array-API layer imports most of numpy's optional submodules), so it is imported only
-for the pivoted-LU fallback, and for the wrappers themselves where scipy bundles no
-OpenBLAS.
+arguments that ``scipy.linalg.lapack`` gives them (``lower=0, clean=0``) on
+F-ordered arrays (``_spd_solves``), so every solution has the bytes and the layout
+those wrappers return. Importing ``scipy.linalg`` would about double every
+command's start-up (its array-API layer imports most of numpy's optional submodules),
+so it is imported only for the pivoted-LU fallback, and for the wrappers themselves
+where scipy bundles no OpenBLAS.
 
 ``single_blas_thread`` runs a block with one OpenBLAS thread. Every fit and
 prediction runs under it: ``train``, ``predict_scores`` and the CV and grid fold
@@ -113,19 +109,12 @@ def _lapack():
 _lapack()  # open the libraries at import, not inside the first command
 
 
-@functools.lru_cache(maxsize=64)
-def _int_pointers(*values) -> tuple:
-    """Pointers to C ints of the given values, made once for each set of values."""
-    return tuple(ctypes.byref(ctypes.c_int(v)) for v in values)
-
-
 def _cholesky_solver(c: np.ndarray, X: np.ndarray):
     """A function of i that factorizes the n x n matrix c in place by LAPACK dpotrf on
     its upper triangle, then solves by dpotrs in place on X[i].T, the (n, k) right-hand
     sides of shift i, and returns whether LAPACK reported success. c is F-ordered and
-    X a C-ordered (shifts, k, n) float64 array. The arguments are those that
-    ``scipy.linalg.lapack`` passes, so solutions have its bytes; where scipy bundles no
-    OpenBLAS, its wrappers are called instead."""
+    X a C-ordered (shifts, k, n) float64 array. The ctypes arguments are made once per
+    Gram matrix; where scipy bundles no OpenBLAS, the wrappers are called instead."""
     lapack = _lapack()
     if lapack is None:
         from scipy.linalg.lapack import dpotrf, dpotrs
@@ -137,7 +126,7 @@ def _cholesky_solver(c: np.ndarray, X: np.ndarray):
 
         return wrapped
     potrf, potrs = lapack
-    n_p, k_p = _int_pointers(len(c), X.shape[1])
+    n_p, k_p = ctypes.byref(ctypes.c_int(len(c))), ctypes.byref(ctypes.c_int(X.shape[1]))
     info = ctypes.c_int()
     info_p = ctypes.byref(info)
     factor = ctypes.byref(ctypes.c_double.from_buffer(c.T))  # c.T: c's memory, C-ordered
@@ -230,29 +219,28 @@ def _lu_solve(G: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
         raise SolverError(f"factorization failed (condition number ~{cond:.3e})") from exc
 
 
-def _check_gammas(gammas) -> tuple:
+def _ridge_problem(design, targets, gammas) -> tuple:
+    """D and Y as float64 arrays and the shifts 1/gamma of the checked ridge gammas."""
+    D = np.asarray(design, dtype=np.float64)
+    Y = np.asarray(targets, dtype=np.float64)
     gammas = tuple(gammas)
     if not gammas or not all(g > 0 for g in gammas):
         raise SolverError("need one or more gammas, each positive")
-    return gammas
+    return D, Y, [1 / g for g in gammas]
 
 
 def solve_primal(design, targets, gammas) -> list[np.ndarray]:
     """W = (D^t D + I/gamma)^-1 D^t Y per gamma: D^t D and D^t Y are formed once,
     then one factorization (no explicit inverse) per gamma."""
-    D = np.asarray(design, dtype=np.float64)
-    Y = np.asarray(targets, dtype=np.float64)
-    gammas = _check_gammas(gammas)
-    return _spd_solves(D.T @ D, D.T @ Y, [1 / g for g in gammas])
+    D, Y, shifts = _ridge_problem(design, targets, gammas)
+    return _spd_solves(D.T @ D, D.T @ Y, shifts)
 
 
 def solve_dual(design, targets, gammas) -> list[np.ndarray]:
     """W = D^t (D D^t + I/gamma)^-1 Y per gamma, D D^t formed once; preferable when
     rows < columns."""
-    D = np.asarray(design, dtype=np.float64)
-    Y = np.asarray(targets, dtype=np.float64)
-    gammas = _check_gammas(gammas)
-    return [D.T @ x for x in _spd_solves(D @ D.T, Y, [1 / g for g in gammas])]
+    D, Y, shifts = _ridge_problem(design, targets, gammas)
+    return [D.T @ x for x in _spd_solves(D @ D.T, Y, shifts)]
 
 
 def solve_auto(design, targets, gammas) -> list[np.ndarray]:

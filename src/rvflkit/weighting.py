@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import one_hot
+
 
 class WeightingError(ValueError):
     pass
@@ -305,7 +307,7 @@ def class_probability(labels, delta: float, sq: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     l = sq.shape[0]
     t = _squared_radius(float(delta))
-    onehot = (labels[:, None] == np.arange(labels.max() + 1)).astype(np.float64)
+    onehot = one_hot(labels, labels.max() + 1)
     within = np.empty((ROW_BLOCK, l))
     counts = np.empty((l, onehot.shape[1]))
     for i in range(0, l, ROW_BLOCK):

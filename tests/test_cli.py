@@ -330,6 +330,20 @@ class TestBench:
         for r in rank_rows[1:]:
             assert sum(float(x) for x in r[1:]) == pytest.approx(2 * 3 / 2)
 
+    def test_format_is_a_usage_error(self, toy_csv, tmp_path, capsys):
+        # bench writes its tables as files and prints one "wrote" line; it takes no --format
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"datasets": [{"path": str(toy_csv)}],
+                                        "models": ["rvfl"], "k": 2}))
+        outdir = tmp_path / "bench"
+        code = main(["bench", "--manifest", str(manifest), "--out", str(outdir),
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+        assert "--format" in err
+        assert not outdir.exists()
+
     def bench_manifest(self, tmp_path, second, models=("rvfl", "r2vfl-m")):
         """Two datasets, 30 and 24 rows in the tests below, each one unit of work: the
         grids of ``models``. rvfl's grid holds two groups of configs, one per hidden

@@ -37,10 +37,12 @@ class TestPrimal:
         Y = rng.normal(size=(6, 2))
         np.testing.assert_allclose(solve_primal(D, Y, [10.0])[0], oracle(D, Y, 10.0), atol=1e-9)
 
-    def test_gamma_validation(self):
-        for gammas in ([0.0], [], [1.0, -1.0], [np.nan]):
-            with pytest.raises(SolverError):
-                solve_primal(np.eye(2), np.eye(2), gammas)
+
+@pytest.mark.parametrize("solve", [solve_primal, solve_dual], ids=lambda f: f.__name__)
+def test_gamma_validation(solve):
+    for gammas in ([0.0], [], [1.0, -1.0], [np.nan]):
+        with pytest.raises(SolverError, match="^need one or more gammas, each positive$"):
+            solve(np.eye(2), np.eye(2), gammas)
 
 
 class TestDual:

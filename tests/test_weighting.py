@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvflkit import weighting
-from rvflkit.data import apply_normalization, fit_normalization, stratified_k_fold
+from rvflkit.data import DataError, apply_normalization, fit_normalization, stratified_k_fold
 from rvflkit.datasets import tic_tac_toe_dataset
 from rvflkit.model import ModelConfig, train
 from rvflkit.weighting import WeightingConfig, WeightingError, build_class_geometry, \
@@ -43,6 +43,12 @@ class TestClassProbability:
         y2 = np.concatenate([ds.labels, ds.labels])
         cp2 = class_probability(y2, 0.6, distances(X2) ** 2)
         np.testing.assert_allclose(cp2[:len(cp1)], cp1)
+
+    def test_negative_label_is_rejected(self):
+        # its one-hot row would count no neighbour, and cp would read the last class's
+        X = np.array([[0.0], [0.1], [0.2]])
+        with pytest.raises(DataError, match="label out of range"):
+            class_probability([0, -1, 1], 2.0, distances(X) ** 2)
 
 
 class TestHuberWeights:
